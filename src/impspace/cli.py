@@ -22,7 +22,6 @@ import json
 import os
 import sys
 from fractions import Fraction
-from math import log2
 from pathlib import Path
 
 from . import __version__
@@ -31,7 +30,8 @@ from .enumeration import (
     rank_canonical, unrank_base, unrank_canonical,
 )
 from .explorer import (
-    FAMILIES, SweepSummary, family_program, sweep, sweep_summary,
+    FAMILIES, SweepSummary, algorithmic_probability, family_program, sweep,
+    sweep_summary,
 )
 from .halting import (
     EstimationParams, SplitMix64, draw_halting_sample, sample_metadata,
@@ -221,17 +221,19 @@ def _complexity_json(summary: SweepSummary, config: dict) -> str:
     })
 
 
-def _records_csv(max_length: int, budget: int, workers: int) -> str:
+def _records_csv(max_length: int, budget: int, workers: int,
+                 exact_budget: bool) -> str:
     lines = ["position,length,halted,steps,output"]
-    for r in sweep(max_length, budget, workers):
+    for r in sweep(max_length, budget, workers, exact_budget=exact_budget):
         halted = "true" if r.halted else "false"
         lines.append(f"{r.position},{r.length},{halted},{r.steps},{r.output}")
     return "\n".join(lines) + "\n"
 
 
 def _cmd_sweep(args) -> int:
-    # worker count is deliberately absent from the config: it cannot
-    # change any artifact byte, and equal inputs must hash equal
+    # worker count and exact-budget mode are deliberately absent from the
+    # config: neither can change any artifact byte, and equal inputs must
+    # hash equal
     config = {
         "subcommand": "sweep",
         "max_length": args.max_length,
@@ -240,7 +242,8 @@ def _cmd_sweep(args) -> int:
     }
     _progress(f"sweeping {cumulative_count(args.max_length)} programs "
               f"(length <= {args.max_length}, budget {args.budget})")
-    summary = sweep_summary(args.max_length, args.budget, args.workers)
+    summary = sweep_summary(args.max_length, args.budget, args.workers,
+                            exact_budget=args.exact_budget)
     if args.out is None:
         rows = [f"{'length':>6} {'halted':>12} {'not_halted':>12} "
                 f"{'halted%':>8} {'not_halted%':>12}"]
@@ -260,7 +263,7 @@ def _cmd_sweep(args) -> int:
     if args.records:
         _progress("second pass for the full record stream")
         files["records.csv"] = _records_csv(args.max_length, args.budget,
-                                            args.workers)
+                                            args.workers, args.exact_budget)
     _write_artifacts(Path(args.out), files, config, "sweep")
     return EXIT_OK
 
@@ -275,9 +278,10 @@ def _cmd_ctm(args) -> int:
     total = summary.total_halting
     lines = ["output,best_length,witness,producers,probability,complexity_bits"]
     for e in summary.complexity.values():
-        p = Fraction(e.producers, total)
+        ap = algorithmic_probability(summary.complexity, e.output, total)
+        p = ap.probability
         lines.append(f"{e.output},{e.best_length},{e.witness},{e.producers},"
-                     f"{p.numerator}/{p.denominator},{-log2(float(p)):.6f}")
+                     f"{p.numerator}/{p.denominator},{ap.complexity_bits:.6f}")
     body = "\n".join(lines) + "\n"
     if args.out is None:
         _emit(body)
@@ -410,6 +414,9 @@ def _build_parser() -> argparse.ArgumentParser:
     p.add_argument("--records", action="store_true",
                    help="also write the full per-program record stream")
     p.add_argument("--format", choices=("csv", "json"), default="csv")
+    p.add_argument("--exact-budget", action="store_true",
+                   help="run every non-halting program to the full budget "
+                        "instead of stopping at a proved loop")
     p.set_defaults(func=_cmd_sweep)
 
     p = sub.add_parser("ctm", help="complexity table from an exhaustive sweep")

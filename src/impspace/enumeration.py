@@ -20,14 +20,25 @@ of an alternative at a given length is a convolution of child counts over
 all ways to split the remaining length.  Everything is memoized, so the
 first query for a length pays the convolution cost and later ones are
 dictionary lookups.
+
+Trees are shared, not rebuilt.  The first time a small block is needed,
+every member of that (category, length), or every child tuple of that
+(children, total) split, is built once in rank order and kept in a
+module-level table.  Only blocks of at most ``_TABLE_CAP`` (4,096)
+entries get a table, which keeps the tables to a few megabytes; walks
+over larger blocks stream their top layers and pair the shared subtrees
+from the tables beneath.  Unranking inside a tabled block is a tuple
+index.  Nothing is built at import.  Shared subtrees are ordinary
+immutable nodes, so a program may hold one object at two places.
 """
 
 from __future__ import annotations
 
 import math
 from dataclasses import dataclass
-from itertools import islice
-from typing import Any, Callable, Iterator
+from itertools import islice, repeat, starmap
+from operator import add
+from typing import Any, Callable, Iterator, Sequence
 
 from .lang import (
     Add, And, Arith, Assign, Bool, Eq, FalseLit, If, Lt, Mul, Not, Num, Or,
@@ -168,8 +179,9 @@ def _unrank_in_length(cat: str, length: int, k: int) -> Any:
         raise PositionRangeError(
             f"rank {k} out of range for {_count(cat, length)} "
             f"category-{cat} trees of length {length}")
-    if cat == "N":
-        return k if length == 1 else 10 ** (length - 1) + k
+    table = _members(cat, length)
+    if table is not None:
+        return table[k]
     for alt in _GRAMMAR[cat]:
         if not alt.children:
             if length == alt.cost:
@@ -299,10 +311,13 @@ def _iter_in_length(cat: str, length: int, start: int = 0) -> Iterator[Any]:
     Equivalent to unranking start, start+1, ... in turn, but amortizes the
     tree construction across the whole walk.
     """
-    if cat == "N":
-        first = 0 if length == 1 else 10 ** (length - 1)
-        yield from range(first + start, first + _count("N", length))
-        return
+    table = _members(cat, length)
+    if table is not None:
+        return iter(table[start:])
+    return _stream_members(cat, length, start)
+
+
+def _stream_members(cat: str, length: int, start: int) -> Iterator[Any]:
     for alt in _GRAMMAR[cat]:
         if not alt.children:
             if length == alt.cost:
@@ -315,17 +330,24 @@ def _iter_in_length(cat: str, length: int, start: int = 0) -> Iterator[Any]:
         if start >= size:
             start -= size
             continue
-        for kids in _iter_children(alt.children, length - alt.cost, start):
-            yield alt.build(*kids)
+        yield from starmap(alt.build, _iter_children(
+            alt.children, length - alt.cost, start))
         start = 0
 
 
 def _iter_children(children: tuple[str, ...], total: int,
                    start: int = 0) -> Iterator[tuple[Any, ...]]:
-    if not children:
-        if total == 0:
-            yield ()
-        return
+    if len(children) == 1:
+        # the tuples of a single child are its members, one at a time
+        return zip(_iter_in_length(children[0], total, start))
+    table = _child_tuples(children, total)
+    if table is not None:
+        return iter(table[start:])
+    return _stream_children(children, total, start)
+
+
+def _stream_children(children: tuple[str, ...], total: int,
+                     start: int) -> Iterator[tuple[Any, ...]]:
     head, rest = children[0], children[1:]
     floor = sum(_MIN_LEN[c] for c in rest)
     for head_len in range(_MIN_LEN[head], total - floor + 1):
@@ -340,10 +362,56 @@ def _iter_children(children: tuple[str, ...], total: int,
             continue
         head_start, tail_start = divmod(start, tail)
         for head_val in _iter_in_length(head, head_len, head_start):
-            for tail_vals in _iter_children(rest, total - head_len, tail_start):
-                yield (head_val, *tail_vals)
+            yield from map(add, repeat((head_val,)),
+                           _iter_children(rest, total - head_len, tail_start))
             tail_start = 0
         start = 0
+
+
+# ---------------------------------------------------------------------------
+# Shared subtree tables (see the module docstring)
+#
+# The cap bounds every table.  At 4,096 a length-7 sweep keeps about
+# 10,500 table entries and peaks at 28 MB; raised to 2**18 it would also
+# table the 77,514 boolean trees of length 5 and the larger splits, about
+# 315,000 entries, and peak at 44 MB.
+# Numerals need no table: their block is a ``range``.
+# ---------------------------------------------------------------------------
+
+_TABLE_CAP = 4096
+
+_member_tables: dict[tuple[str, int], Sequence[Any] | None] = {}
+_child_tables: dict[tuple[tuple[str, ...], int],
+                    tuple[tuple[Any, ...], ...] | None] = {}
+
+
+def _members(cat: str, length: int) -> Sequence[Any] | None:
+    """All category members of one length in rank order, or None if too many."""
+    key = (cat, length)
+    if key in _member_tables:
+        return _member_tables[key]
+    if cat == "N":
+        first = 10 ** (length - 1) if length > 1 else 0
+        table: Sequence[Any] | None = range(first, first + _count("N", length))
+    elif _count(cat, length) <= _TABLE_CAP:
+        table = tuple(_stream_members(cat, length, 0))
+    else:
+        table = None
+    _member_tables[key] = table
+    return table
+
+
+def _child_tuples(children: tuple[str, ...],
+                  total: int) -> tuple[tuple[Any, ...], ...] | None:
+    """All child tuples of one split in rank order, or None if too many."""
+    key = (children, total)
+    if key in _child_tables:
+        return _child_tables[key]
+    table = None
+    if _ways(children, total) <= _TABLE_CAP:
+        table = tuple(_stream_children(children, total, 0))
+    _child_tables[key] = table
+    return table
 
 
 def unrank_fixed_length(length: int, k: int) -> Program:

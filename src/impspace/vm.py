@@ -9,13 +9,15 @@ budget (halted) or is cut off with ``steps`` pinned to the budget.
 
 ``run`` applies the budget literally.  ``classify`` produces the same
 halted/steps answer but additionally watches for repeated machine
-configurations, which lets it bail out of tight loops long before the
-budget is spent.
+configurations at ``while`` heads, which lets it bail out of tight loops
+long before the budget is spent.  ``detect_divergence`` is the same
+machine with no budget at all.  All three share one interpreter loop.
 """
 
 from __future__ import annotations
 
 import enum
+import math
 from dataclasses import dataclass
 
 from .lang import (
@@ -110,7 +112,7 @@ class Divergence(enum.Enum):
     UNKNOWN = "unknown"
 
 
-def _execute(program: Program, budget: int, costs: CostModel,
+def _execute(program: Program, budget: int | None, costs: CostModel,
              detect_cycles: bool, state_cap: int | None,
              ) -> tuple[bool, int, dict[int, int], bool]:
     """Drive the machine; returns (halted, steps, store, cycled).
@@ -118,9 +120,18 @@ def _execute(program: Program, budget: int, costs: CostModel,
     The control stack holds statements still to run, innermost first.  A
     transition whose cost would push ``steps`` past the budget does not
     fire: the run ends with steps equal to the budget and the store as it
-    stood.  With ``detect_cycles`` the full configuration (stack plus
-    store) is remembered; seeing one twice proves the run never ends.
+    stood.  ``budget=None`` runs without a limit.
+
+    With ``detect_cycles`` the configuration (stack plus store) is
+    remembered each time a ``while`` head is about to run; seeing one
+    twice proves the run never ends.  Only ``while`` heads need checking:
+    code without loops always halts, so an endless run keeps returning to
+    some loop head, and a run that repeats a configuration repeats one
+    there.  Once ``state_cap`` configurations are remembered, checking
+    stops; an unlimited run then ends unresolved (neither halted nor
+    cycled) rather than running on blind.
     """
+    limit = math.inf if budget is None else budget
     stack: list[Program] = [program]
     store: dict[int, int] = {}
     steps = 0
@@ -133,17 +144,8 @@ def _execute(program: Program, budget: int, costs: CostModel,
         t = type(node)
         if t is Skip:
             continue
-        if seen is not None:
-            key = (tuple(map(id, stack)) + (id(node),),
-                   tuple(sorted(store.items())))
-            if key in seen:
-                return False, budget, store, True
-            if state_cap is not None and len(seen) >= state_cap:
-                seen = None
-            else:
-                seen.add(key)
         if t is Seq:
-            if steps + costs.statement > budget:
+            if steps + costs.statement > limit:
                 return False, budget, store, False
             steps += costs.statement
             stack.append(node.second)
@@ -154,7 +156,7 @@ def _execute(program: Program, budget: int, costs: CostModel,
             if cost is None:
                 cost = costs.statement + expression_cost(node.value, costs)
                 cost_cache[id(node)] = cost
-            if steps + cost > budget:
+            if steps + cost > limit:
                 return False, budget, store, False
             steps += cost
             value = eval_arith(node.value, store)
@@ -163,11 +165,22 @@ def _execute(program: Program, budget: int, costs: CostModel,
             else:
                 store.pop(node.target, None)
             continue
+        if t is While and seen is not None:
+            key = (tuple(map(id, stack)) + (id(node),),
+                   tuple(sorted(store.items())))
+            if key in seen:
+                return False, budget, store, True
+            if state_cap is not None and len(seen) >= state_cap:
+                if budget is None:
+                    return False, steps, store, False
+                seen = None
+            else:
+                seen.add(key)
         cost = cost_cache.get(id(node))
         if cost is None:
             cost = costs.statement + expression_cost(node.cond, costs)
             cost_cache[id(node)] = cost
-        if steps + cost > budget:
+        if steps + cost > limit:
             return False, budget, store, False
         steps += cost
         if t is If:
@@ -197,13 +210,14 @@ def classify(program: Program, budget: int, costs: CostModel = DEFAULT_COSTS,
              state_cap: int | None = None) -> RunResult:
     """Like ``run`` but with early loop detection.
 
-    A repeated configuration proves the program never halts, so the result
-    can be reported without grinding out the remaining budget.  The halted
-    flag and step count always match ``run`` exactly; for a run cut short
-    this way the store is the one seen at detection time rather than at
-    budget exhaustion, and the output (empty either way) is unaffected.
-    ``state_cap`` bounds the number of remembered configurations; past it
-    the function degrades to plain budgeted execution.
+    A repeated configuration at a ``while`` head proves the program never
+    halts, so the result can be reported without grinding out the
+    remaining budget.  The halted flag and step count always match ``run``
+    exactly; for a run cut short this way the store is the one seen at
+    detection time rather than at budget exhaustion, and the output (empty
+    either way) is unaffected.  ``state_cap`` bounds the number of
+    remembered ``while``-head configurations; past it the function
+    degrades to plain budgeted execution.
     """
     if budget < 0:
         raise ValueError("budget must be nonnegative")
@@ -215,39 +229,12 @@ def detect_divergence(program: Program,
                       state_cap: int = 100_000) -> Divergence:
     """Decide halting where feasible, without a step budget.
 
-    Runs until the program halts, a configuration repeats (a proof of
-    divergence), or ``state_cap`` distinct configurations have been seen,
-    in which case the answer is UNKNOWN.
+    Runs until the program halts, a configuration repeats at a ``while``
+    head (a proof of divergence), or ``state_cap`` distinct ``while``-head
+    configurations have been seen, in which case the answer is UNKNOWN.
     """
-    stack: list[Program] = [program]
-    store: dict[int, int] = {}
-    seen: set[tuple[tuple[int, ...], tuple[tuple[int, int], ...]]] = set()
-
-    while stack:
-        node = stack.pop()
-        t = type(node)
-        if t is Skip:
-            continue
-        key = (tuple(map(id, stack)) + (id(node),),
-               tuple(sorted(store.items())))
-        if key in seen:
-            return Divergence.DIVERGES
-        if len(seen) >= state_cap:
-            return Divergence.UNKNOWN
-        seen.add(key)
-        if t is Seq:
-            stack.append(node.second)
-            stack.append(node.first)
-        elif t is Assign:
-            value = eval_arith(node.value, store)
-            if value:
-                store[node.target] = value
-            else:
-                store.pop(node.target, None)
-        elif t is If:
-            stack.append(node.then if eval_bool(node.cond, store) else node.orelse)
-        else:
-            if eval_bool(node.cond, store):
-                stack.append(node)
-                stack.append(node.body)
-    return Divergence.HALTS
+    halted, _, _, cycled = _execute(program, None, DEFAULT_COSTS, True,
+                                    state_cap)
+    if halted:
+        return Divergence.HALTS
+    return Divergence.DIVERGES if cycled else Divergence.UNKNOWN

@@ -33,6 +33,11 @@ TABLE_COUNTS = [0, 1, 0, 3, 104, 2_124, 35_770, 546_611, 7_991_176,
 CENSUS_PAIRS = {1: (1, 0), 3: (2, 1), 4: (103, 1), 5: (2_059, 65),
                 6: (34_491, 1_279), 7: (522_060, 24_551)}
 
+# Measured once with the exhaustive sweep (budget 10,000) and pinned.
+CENSUS_PAIR_8 = (7_578_748, 412_428)
+TOTAL_HALTING_8 = 8_137_464
+DISTINCT_OUTPUTS_8 = 100_000
+
 SAMPLE_SIZES = [(("0.009", "0.01"), 28_427),
                 (("0.001", "0.01"), 2_302_586),
                 (("0.001", "0.001"), 3_453_878),
@@ -105,6 +110,16 @@ def test_criterion_3_halting_census(s7):
            for length, row in s7.census.items()}
     assert got == CENSUS_PAIRS
     assert s7.total == cumulative_count(7) == 584_613
+
+
+def test_halting_census_at_length_8():
+    s8 = sweep_summary(8, 10_000, workers=WORKERS)
+    got = {length: (row.halted, row.not_halted)
+           for length, row in s8.census.items()}
+    assert got == {**CENSUS_PAIRS, 8: CENSUS_PAIR_8}
+    assert s8.total == cumulative_count(8)
+    assert s8.total_halting == TOTAL_HALTING_8
+    assert len(s8.complexity) == DISTINCT_OUTPUTS_8
 
 
 def test_criterion_4_sample_size_formula():

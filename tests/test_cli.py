@@ -4,6 +4,7 @@ import json
 
 import pytest
 
+from impspace import explorer
 from impspace.cli import (
     EXIT_CONFIG, EXIT_INTEGRITY, EXIT_OK, EXIT_RANGE, EXIT_SYNTAX, main,
 )
@@ -129,6 +130,23 @@ def test_sweep_reruns_are_byte_identical(tmp_path, capsys):
         assert (a / name).read_bytes() == (b / name).read_bytes(), name
 
 
+def test_sweep_exact_budget_keeps_artifacts(tmp_path, capsys, monkeypatch):
+    a, b = tmp_path / "a", tmp_path / "b"
+    code, _, _ = run_cli(capsys, "sweep", "--max-length", "5", "--records",
+                         "--out", str(a))
+    assert code == EXIT_OK
+
+    def no_shortcut(*args, **kwargs):
+        raise AssertionError("--exact-budget must not use loop detection")
+
+    monkeypatch.setattr(explorer, "classify", no_shortcut)
+    code, _, _ = run_cli(capsys, "sweep", "--max-length", "5", "--records",
+                         "--exact-budget", "--out", str(b))
+    assert code == EXIT_OK
+    assert (a / "manifest.json").read_bytes() == \
+        (b / "manifest.json").read_bytes()
+
+
 def test_sample_artifacts_deterministic(tmp_path, capsys):
     a, b = tmp_path / "a", tmp_path / "b"
     for target in (a, b):
@@ -167,6 +185,10 @@ def test_ctm_output(capsys):
         "output,best_length,witness,producers,probability,complexity_bits"
     empty_row = lines[1].split(",")
     assert empty_row[0] == "" and empty_row[1] == "1" and empty_row[2] == "0"
+    # at length 3 every halting program outputs the empty string
+    code, out, _ = run_cli(capsys, "ctm", "--max-length", "3")
+    assert code == EXIT_OK
+    assert out.strip().splitlines()[1:] == [",1,0,3,1/1,0.000000"]
 
 
 def test_family_json(capsys):

@@ -4,12 +4,13 @@ import random
 
 import pytest
 
+from impspace import enumeration
 from impspace.enumeration import (
     PositionRangeError, count_programs, cumulative_count, iter_canonical,
     iter_fixed_length, rank_base, rank_canonical, rank_fixed_length,
     unrank_base, unrank_canonical, unrank_fixed_length,
 )
-from impspace.lang import SKIP, parse, program_length, render
+from impspace.lang import If, SKIP, Seq, While, parse, program_length, render
 
 import bruteforce
 
@@ -86,20 +87,49 @@ def test_fixed_length_out_of_range():
         unrank_fixed_length(5, -1)
 
 
-def test_iterator_agrees_with_unranking():
-    for length in (1, 3, 4, 5):
-        assert list(iter_fixed_length(length)) == \
-            [unrank_fixed_length(length, k)
-             for k in range(count_programs(length))]
+# Table caps covering both sides of the shared-subtree cutoff: 0 streams
+# every block, the default mixes tables and streams, and the last builds a
+# table for every block these tests touch.
+CAPS = (0, enumeration._TABLE_CAP, 10**9)
 
 
-def test_iterator_resumes_anywhere():
+def _use_cap(monkeypatch, cap):
+    monkeypatch.setattr(enumeration, "_TABLE_CAP", cap)
+    monkeypatch.setattr(enumeration, "_member_tables", {})
+    monkeypatch.setattr(enumeration, "_child_tables", {})
+
+
+def test_iterator_agrees_with_unranking(monkeypatch):
+    lengths = (1, 3, 4, 5)
+    _use_cap(monkeypatch, 0)
+    want = {length: [unrank_fixed_length(length, k)
+                     for k in range(count_programs(length))]
+            for length in lengths}
+    for cap in CAPS:
+        _use_cap(monkeypatch, cap)
+        for length in lengths:
+            assert list(iter_fixed_length(length)) == want[length], cap
+            assert [unrank_fixed_length(length, k)
+                    for k in range(count_programs(length))] == \
+                want[length], cap
+
+
+def test_iterator_resumes_anywhere(monkeypatch):
+    _use_cap(monkeypatch, 0)
     full = list(iter_fixed_length(6))
+    # first ranks of the Seq, If and While alternatives in the block
+    alternatives = {30_900: Seq, 31_108: If, 31_330: While}
+    for start, kind in alternatives.items():
+        assert type(full[start]) is kind
+        assert type(full[start - 1]) is not kind
     rng = random.Random(3)
-    for start in [0, 1, 35_769, 35_770] + [rng.randrange(35_770)
-                                           for _ in range(20)]:
-        tail = list(iter_fixed_length(6, start))
-        assert tail == full[start:]
+    starts = [0, 1, 35_769, 35_770, *alternatives] + \
+        [rng.randrange(35_770) for _ in range(20)]
+    for cap in CAPS:
+        _use_cap(monkeypatch, cap)
+        for start in starts:
+            tail = list(iter_fixed_length(6, start))
+            assert tail == full[start:], (cap, start)
 
 
 # ---------------------------------------------------------------------------
