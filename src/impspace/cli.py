@@ -240,6 +240,8 @@ def _cmd_sweep(args) -> int:
         "budget": args.budget,
         "format": args.format,
     }
+    if args.records and args.out is None:
+        raise ValueError("--records needs --out")
     _progress(f"sweeping {cumulative_count(args.max_length)} programs "
               f"(length <= {args.max_length}, budget {args.budget})")
     summary = sweep_summary(args.max_length, args.budget, args.workers,
@@ -317,24 +319,29 @@ def _cmd_audit(args) -> int:
         manifest_path = manifest_path / "manifest.json"
     manifest = json.loads(manifest_path.read_text())
     base = manifest_path.parent
+    files = manifest.get("files") if isinstance(manifest, dict) else None
+    if not isinstance(files, dict):
+        raise IntegrityError("manifest has no files")
     mismatched, missing = [], []
-    for name, info in manifest["files"].items():
+    for name, info in files.items():
         path = base / name
         if not path.exists():
             missing.append(name)
             continue
         digest = hashlib.sha256(path.read_bytes()).hexdigest()
-        if digest != info["sha256"]:
+        if not isinstance(info, dict) or digest != info.get("sha256"):
             mismatched.append(name)
     report: dict = {
-        "verified": len(manifest["files"]) - len(mismatched) - len(missing),
+        "verified": len(files) - len(mismatched) - len(missing),
         "mismatched": mismatched,
         "missing": missing,
     }
     rechecked = failures = 0
-    if args.recheck and "records.csv" in manifest["files"] \
+    if args.recheck and "records.csv" in files \
             and "records.csv" not in missing:
-        budget = manifest["config"]["budget"]
+        budget = manifest.get("config", {}).get("budget")
+        if budget is None:
+            raise IntegrityError("manifest has no config.budget")
         with open(base / "records.csv", newline="") as fh:
             rows = list(csv.DictReader(fh))
         rng = SplitMix64(args.seed)
@@ -343,8 +350,7 @@ def _cmd_audit(args) -> int:
             result = classify(unrank_canonical(int(row["position"])), budget)
             expect = (row["halted"] == "true", int(row["steps"]),
                       row["output"])
-            got = (result.halted, result.steps,
-                   result.output if result.halted else "")
+            got = (result.halted, result.steps, result.output)
             rechecked += 1
             if got != expect:
                 failures += 1

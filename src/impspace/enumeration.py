@@ -28,8 +28,10 @@ module-level table.  Only blocks of at most ``_TABLE_CAP`` (4,096)
 entries get a table, which keeps the tables to a few megabytes; walks
 over larger blocks stream their top layers and pair the shared subtrees
 from the tables beneath.  Unranking inside a tabled block is a tuple
-index.  Nothing is built at import.  Shared subtrees are ordinary
-immutable nodes, so a program may hold one object at two places.
+index; outside one it is the first step of the same walk started at the
+rank, so one rank walk serves iteration and unranking.  Nothing is built
+at import.  Shared subtrees are ordinary immutable nodes, so a program
+may hold one object at two places.
 """
 
 from __future__ import annotations
@@ -182,42 +184,7 @@ def _unrank_in_length(cat: str, length: int, k: int) -> Any:
     table = _members(cat, length)
     if table is not None:
         return table[k]
-    for alt in _GRAMMAR[cat]:
-        if not alt.children:
-            if length == alt.cost:
-                if k == 0:
-                    return alt.build()
-                k -= 1
-            continue
-        size = _ways(alt.children, length - alt.cost)
-        if k < size:
-            return alt.build(*_unrank_children(alt.children, length - alt.cost, k))
-        k -= size
-    raise AssertionError("unreachable: rank inside a counted block")
-
-
-def _unrank_children(children: tuple[str, ...], total: int, k: int) -> list[Any]:
-    """Invert the (length, rank) interleaved lexicographic child order."""
-    out: list[Any] = []
-    for i, cat in enumerate(children):
-        rest = children[i + 1:]
-        floor = sum(_MIN_LEN[c] for c in rest)
-        for cat_len in range(_MIN_LEN[cat], total - floor + 1):
-            n = _count(cat, cat_len)
-            if not n:
-                continue
-            tail = _ways(rest, total - cat_len)
-            if not tail:
-                continue
-            if k < n * tail:
-                rank_here, k = divmod(k, tail)
-                out.append(_unrank_in_length(cat, cat_len, rank_here))
-                total -= cat_len
-                break
-            k -= n * tail
-        else:
-            raise AssertionError("unreachable: rank inside a counted block")
-    return out
+    return next(_stream_members(cat, length, k))
 
 
 def _decompose(cat: str, value: Any) -> tuple[int, tuple[Any, ...]]:

@@ -2,8 +2,8 @@
 
 A *sweep* runs every program up to a length bound under one step budget
 and records, per canonical position: length, halted flag, step count,
-and output bitstring.  From the records (or folded directly inside the
-sweep workers) come:
+and output bitstring.  One mergeable fold (``SummaryFold``) turns rows into
+the statistics, inside the sweep workers or over a record stream:
 
 * the halting census per length;
 * the shortest-producer table: for each output string, the minimal
@@ -24,7 +24,6 @@ from dataclasses import dataclass
 from fractions import Fraction
 from itertools import islice
 from math import log2
-from multiprocessing import get_context
 from typing import Iterable, Iterator
 
 from .enumeration import count_programs, cumulative_count, iter_fixed_length
@@ -32,6 +31,7 @@ from .lang import (
     Add, Assign, Lt, Mul, Num, Program, Reg, Seq, While, SKIP,
     program_length, string_to_nat,
 )
+from .parallel import ordered_map
 from .vm import classify, run
 
 
@@ -79,99 +79,83 @@ class IncompleteCensusError(ValueError):
 
 
 # ---------------------------------------------------------------------------
-# Sweeping
+# The summary fold
 # ---------------------------------------------------------------------------
 
-def _plan(max_length: int, workers: int) -> list[tuple[int, int, int, int]]:
-    """Chunk every length block into (length, start, count, base) tasks."""
-    total = cumulative_count(max_length)
-    chunk = max(1000, total // (workers * 16) + 1)
-    tasks = []
-    for length in range(1, max_length + 1):
-        block = count_programs(length)
-        base = cumulative_count(length - 1)
-        for start in range(0, block, chunk):
-            tasks.append((length, start, min(chunk, block - start), base + start))
-    return tasks
+def _add_counts(into: dict, part: dict) -> None:
+    for key, n in part.items():
+        into[key] = into.get(key, 0) + n
 
 
-_worker_budget = 0
-_worker_exact = False
+class SummaryFold:
+    """Mergeable fold of sweep rows: ``add`` one row, ``merge`` another fold.
 
-
-def _sweep_init(budget: int, exact_budget: bool):
-    global _worker_budget, _worker_exact
-    _worker_budget = budget
-    _worker_exact = exact_budget
-
-
-def _classify(program: Program):
-    if _worker_exact:
-        return run(program, _worker_budget)
-    return classify(program, _worker_budget)
-
-
-def _record_task(task: tuple[int, int, int, int]) -> list[tuple[int, int, bool, int, str]]:
-    length, start, count, base = task
-    rows = []
-    for offset, program in enumerate(islice(iter_fixed_length(length, start), count)):
-        result = _classify(program)
-        rows.append((base + offset, length, result.halted, result.steps,
-                     result.output if result.halted else ""))
-    return rows
-
-
-def sweep(max_length: int, budget: int, workers: int = 1,
-          exact_budget: bool = False) -> Iterator[RunRecord]:
-    """Run every program of length <= max_length; yield records in position order.
-
-    The stream is identical for any worker count.  ``exact_budget``
-    disables the loop-detection shortcut and burns the full budget on
-    every non-halting program (slower, used for cross-validation).
+    Rows and parts may come in any order; every projection is the same.
     """
-    if budget < 1:
-        raise ValueError("budget must be at least 1")
-    if workers < 1:
-        raise ValueError("need at least one worker")
-    tasks = _plan(max_length, workers)
-    if workers == 1:
-        _sweep_init(budget, exact_budget)
-        chunks: Iterable[list] = map(_record_task, tasks)
-        for chunk in chunks:
-            for row in chunk:
-                yield RunRecord(*row)
-        return
-    with get_context("fork").Pool(
-            workers, initializer=_sweep_init,
-            initargs=(budget, exact_budget)) as pool:
-        for chunk in pool.imap(_record_task, tasks):
-            for row in chunk:
-                yield RunRecord(*row)
 
+    __slots__ = ("halted", "not_halted", "producers", "steps_hist",
+                 "output_hist")
 
-def _summary_task(task: tuple[int, int, int, int]):
-    length, start, count, base = task
-    halted = 0
-    complexity: dict[str, list] = {}
-    steps_hist: dict[int, int] = {}
-    output_hist: dict[int, int] = {}
-    for offset, program in enumerate(islice(iter_fixed_length(length, start), count)):
-        result = _classify(program)
-        if not result.halted:
-            continue
-        halted += 1
-        position = base + offset
-        out = result.output
-        steps_hist[result.steps] = steps_hist.get(result.steps, 0) + 1
-        output_hist[len(out)] = output_hist.get(len(out), 0) + 1
-        entry = complexity.get(out)
+    def __init__(self):
+        self.halted: dict[int, int] = {}  # length: halting programs
+        self.not_halted: dict[int, int] = {}  # length: the others
+        self.producers: dict[str, list] = {}  # output: [length, witness, n]
+        self.steps_hist: dict[int, dict[int, int]] = {}
+        self.output_hist: dict[int, int] = {}
+
+    def add(self, position: int, length: int, halted: bool, steps: int,
+            output: str) -> None:
+        if not halted:
+            self.not_halted[length] = self.not_halted.get(length, 0) + 1
+            return
+        self.halted[length] = self.halted.get(length, 0) + 1
+        row = self.steps_hist.get(length)
+        if row is None:
+            row = self.steps_hist[length] = {}
+        row[steps] = row.get(steps, 0) + 1
+        hist = self.output_hist
+        hist[len(output)] = hist.get(len(output), 0) + 1
+        entry = self.producers.get(output)
         if entry is None:
-            complexity[out] = [length, position, 1]
-        else:
-            entry[2] += 1
-            # chunks are single-length and position-ordered, so the first
-            # producer seen is already the minimal (length, position) one
-    return length, count, halted, complexity, steps_hist, output_hist
+            self.producers[output] = [length, position, 1]
+            return
+        entry[2] += 1
+        if length < entry[0] or (length == entry[0] and position < entry[1]):
+            entry[0] = length
+            entry[1] = position
+
+    def merge(self, other: SummaryFold) -> SummaryFold:
+        _add_counts(self.halted, other.halted)
+        _add_counts(self.not_halted, other.not_halted)
+        _add_counts(self.output_hist, other.output_hist)
+        for length, row in other.steps_hist.items():
+            _add_counts(self.steps_hist.setdefault(length, {}), row)
+        for out, (best, witness, n) in other.producers.items():
+            entry = self.producers.setdefault(out, [best, witness, 0])
+            entry[2] += n
+            if (best, witness) < (entry[0], entry[1]):
+                entry[0], entry[1] = best, witness
+        return self
+
+    def census(self) -> dict[int, CensusRow]:
+        return {length: CensusRow(self.halted.get(length, 0),
+                                  self.not_halted.get(length, 0))
+                for length in sorted({*self.halted, *self.not_halted})}
+
+    def complexity(self) -> dict[str, ComplexityEntry]:
+        return {out: ComplexityEntry(out, best, witness, n)
+                for out, (best, witness, n)
+                in sorted(self.producers.items(),
+                          key=lambda kv: (len(kv[0]), kv[0]))}
+
+    def histograms(self) -> tuple[dict[int, dict[int, int]], dict[int, int]]:
+        return ({l: dict(sorted(r.items()))
+                 for l, r in sorted(self.steps_hist.items())},
+                dict(sorted(self.output_hist.items())))
+
+    def summary(self, max_length: int, budget: int) -> SweepSummary:
+        return SweepSummary(max_length, budget, self.census(),
+                            self.complexity(), *self.histograms())
 
 
 @dataclass(frozen=True, slots=True)
@@ -194,82 +178,102 @@ class SweepSummary:
         return sum(row.halted for row in self.census.values())
 
 
+# ---------------------------------------------------------------------------
+# Sweeping
+# ---------------------------------------------------------------------------
+
+def _plan(max_length: int, budget: int, workers: int,
+          exact_budget: bool) -> list[tuple]:
+    """Chunk every length block into self-contained sweep tasks."""
+    if budget < 1:
+        raise ValueError("budget must be at least 1")
+    if workers < 1:
+        raise ValueError("need at least one worker")
+    total = cumulative_count(max_length)
+    chunk = max(1000, total // (workers * 16) + 1)
+    tasks = []
+    for length in range(1, max_length + 1):
+        block = count_programs(length)
+        base = cumulative_count(length - 1)
+        for start in range(0, block, chunk):
+            tasks.append((length, start, min(chunk, block - start),
+                          base + start, budget, exact_budget))
+    return tasks
+
+
+def _record_task(task) -> list[tuple[int, int, bool, int, str]]:
+    length, start, count, base, budget, exact_budget = task
+    execute = run if exact_budget else classify
+    rows = []
+    programs = islice(iter_fixed_length(length, start), count)
+    for position, program in enumerate(programs, base):
+        result = execute(program, budget)
+        rows.append((position, length, result.halted, result.steps,
+                     result.output))
+    return rows
+
+
+def sweep(max_length: int, budget: int, workers: int = 1,
+          exact_budget: bool = False) -> Iterator[RunRecord]:
+    """Run every program of length <= max_length; yield records in position order.
+
+    The stream is identical for any worker count.  ``exact_budget``
+    disables the loop-detection shortcut and burns the full budget on
+    every non-halting program (slower, used for cross-validation).
+    """
+    tasks = _plan(max_length, budget, workers, exact_budget)
+    for chunk in ordered_map(_record_task, tasks, workers):
+        for row in chunk:
+            yield RunRecord(*row)
+
+
+def _summary_task(task) -> SummaryFold:
+    length, start, count, base, budget, exact_budget = task
+    execute = run if exact_budget else classify
+    fold = SummaryFold()
+    add = fold.add
+    programs = islice(iter_fixed_length(length, start), count)
+    for position, program in enumerate(programs, base):
+        result = execute(program, budget)
+        add(position, length, result.halted, result.steps, result.output)
+    return fold
+
+
 def sweep_summary(max_length: int, budget: int, workers: int = 1,
                   exact_budget: bool = False) -> SweepSummary:
-    """Sweep with all aggregation done inside the workers.
+    """Sweep with the fold done inside the workers, the parts merged here.
 
     Produces exactly the statistics that ``halting_census``,
     ``complexity_table`` and ``histograms`` would give over the full
     record stream, in constant memory per distinct output.
     """
-    if budget < 1:
-        raise ValueError("budget must be at least 1")
-    if workers < 1:
-        raise ValueError("need at least one worker")
-    tasks = _plan(max_length, workers)
-    if workers == 1:
-        _sweep_init(budget, exact_budget)
-        partials: Iterable = map(_summary_task, tasks)
-        return _merge_summaries(max_length, budget, partials)
-    with get_context("fork").Pool(
-            workers, initializer=_sweep_init,
-            initargs=(budget, exact_budget)) as pool:
-        return _merge_summaries(max_length, budget,
-                                pool.imap(_summary_task, tasks))
-
-
-def _merge_summaries(max_length: int, budget: int, partials) -> SweepSummary:
-    census_counts: dict[int, list[int]] = {}
-    complexity: dict[str, list] = {}
-    steps_hist: dict[int, dict[int, int]] = {}
-    output_hist: dict[int, int] = {}
-    for length, count, halted, part_cx, part_steps, part_out in partials:
-        totals = census_counts.setdefault(length, [0, 0])
-        totals[0] += halted
-        totals[1] += count - halted
-        row = steps_hist.setdefault(length, {})
-        for steps, n in part_steps.items():
-            row[steps] = row.get(steps, 0) + n
-        for out_len, n in part_out.items():
-            output_hist[out_len] = output_hist.get(out_len, 0) + n
-        for out, (best, witness, producers) in part_cx.items():
-            entry = complexity.get(out)
-            if entry is None:
-                complexity[out] = [best, witness, producers]
-            else:
-                entry[2] += producers
-                if (best, witness) < (entry[0], entry[1]):
-                    entry[0], entry[1] = best, witness
-    census = {length: CensusRow(h, nh)
-              for length, (h, nh) in sorted(census_counts.items())}
-    table = {out: ComplexityEntry(out, best, witness, producers)
-             for out, (best, witness, producers)
-             in sorted(complexity.items(), key=lambda kv: (len(kv[0]), kv[0]))}
-    return SweepSummary(max_length=max_length, budget=budget, census=census,
-                        complexity=table,
-                        steps_hist={l: dict(sorted(r.items()))
-                                    for l, r in sorted(steps_hist.items())},
-                        output_hist=dict(sorted(output_hist.items())))
+    tasks = _plan(max_length, budget, workers, exact_budget)
+    fold = SummaryFold()
+    for part in ordered_map(_summary_task, tasks, workers):
+        fold.merge(part)
+    return fold.summary(max_length, budget)
 
 
 # ---------------------------------------------------------------------------
-# Aggregations over record streams
+# Aggregations over record streams: projections of the same fold
 # ---------------------------------------------------------------------------
+
+def _fold_records(records: Iterable[RunRecord]) -> SummaryFold:
+    fold = SummaryFold()
+    for r in records:
+        fold.add(r.position, r.length, r.halted, r.steps, r.output)
+    return fold
+
 
 def halting_census(records: Iterable[RunRecord]) -> dict[int, CensusRow]:
     """Per-length halting counts; lengths must be completely covered."""
-    counts: dict[int, list[int]] = {}
-    for record in records:
-        totals = counts.setdefault(record.length, [0, 0])
-        totals[record.halted is False] += 1
-    for length, (h, nh) in counts.items():
-        expected = count_programs(length)
-        if h + nh != expected:
+    census = _fold_records(records).census()
+    for length, row in census.items():
+        if row.total != count_programs(length):
             raise IncompleteCensusError(
-                f"length {length}: saw {h + nh} records, "
-                f"expected {expected}")
-    return {length: CensusRow(h, nh)
-            for length, (h, nh) in sorted(counts.items())}
+                f"length {length}: saw {row.total} records, "
+                f"expected {count_programs(length)}")
+    return census
 
 
 def complexity_table(records: Iterable[RunRecord]) -> dict[str, ComplexityEntry]:
@@ -278,36 +282,13 @@ def complexity_table(records: Iterable[RunRecord]) -> dict[str, ComplexityEntry]
     Ties on length break toward the smallest position.  Keys iterate in
     canonical bitstring order (length, then lexicographic).
     """
-    working: dict[str, list] = {}
-    for record in records:
-        if not record.halted:
-            continue
-        entry = working.get(record.output)
-        if entry is None:
-            working[record.output] = [record.length, record.position, 1]
-        else:
-            entry[2] += 1
-            if (record.length, record.position) < (entry[0], entry[1]):
-                entry[0], entry[1] = record.length, record.position
-    return {out: ComplexityEntry(out, best, witness, producers)
-            for out, (best, witness, producers)
-            in sorted(working.items(), key=lambda kv: (len(kv[0]), kv[0]))}
+    return _fold_records(records).complexity()
 
 
 def histograms(records: Iterable[RunRecord],
                ) -> tuple[dict[int, dict[int, int]], dict[int, int]]:
     """(steps-by-length matrix, output-length histogram) over halting records."""
-    steps_hist: dict[int, dict[int, int]] = {}
-    output_hist: dict[int, int] = {}
-    for record in records:
-        if not record.halted:
-            continue
-        row = steps_hist.setdefault(record.length, {})
-        row[record.steps] = row.get(record.steps, 0) + 1
-        out_len = len(record.output)
-        output_hist[out_len] = output_hist.get(out_len, 0) + 1
-    return ({l: dict(sorted(r.items())) for l, r in sorted(steps_hist.items())},
-            dict(sorted(output_hist.items())))
+    return _fold_records(records).histograms()
 
 
 def trivial_bound(bits: str) -> tuple[Program, int]:

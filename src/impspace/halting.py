@@ -20,13 +20,13 @@ from collections import Counter
 from dataclasses import dataclass
 from fractions import Fraction
 from math import exp
-from multiprocessing import get_context
 
 import mpmath
 from mpmath import iv
 
 from .enumeration import cumulative_count, unrank_canonical
 from .lang import program_length
+from .parallel import ordered_map
 from .vm import classify
 
 _MASK64 = (1 << 64) - 1
@@ -237,17 +237,10 @@ def draw_halting_sample(max_length: int, n: int, probe_budget: int = 10_000,
               for i in range(workers)]
     tasks = [(worker_seed(seed, i), quota, space_size, probe_budget)
              for i, quota in enumerate(quotas) if quota]
-    if len(tasks) <= 1:
-        results = [_draw_quota(t) for t in tasks]
-    else:
-        with get_context("fork").Pool(len(tasks)) as pool:
-            results = pool.map(_draw_quota, tasks)
-    rows: list[tuple[int, int, int]] = []
-    rejections = 0
-    for part_rows, part_rejections in results:
-        rows.extend(part_rows)
-        rejections += part_rejections
-    return HaltingSample(rows=tuple(rows), max_length=max_length,
+    parts = list(ordered_map(_draw_quota, tasks, len(tasks)))
+    rows = tuple(row for part_rows, _ in parts for row in part_rows)
+    rejections = sum(part_rejections for _, part_rejections in parts)
+    return HaltingSample(rows=rows, max_length=max_length,
                          space_size=space_size, seed=seed,
                          probe_budget=probe_budget, rejections=rejections,
                          params=params)

@@ -220,3 +220,85 @@ def test_workers_env_default(monkeypatch):
     monkeypatch.setenv("IMP_SPACE_WORKERS", "junk")
     args = _build_parser().parse_args(["sweep", "--max-length", "3"])
     assert args.workers == 1
+
+
+def test_sweep_records_needs_out(capsys):
+    code, out, err = run_cli(capsys, "sweep", "--max-length", "3", "--records")
+    assert code == EXIT_CONFIG
+    assert "error[config]: --records needs --out" in err
+    assert out == ""
+
+
+def test_audit_rejects_incomplete_manifest(tmp_path, capsys):
+    for text in ("{}", "[]"):
+        (tmp_path / "manifest.json").write_text(text)
+        code, _, err = run_cli(capsys, "audit", str(tmp_path))
+        assert code == EXIT_INTEGRITY
+        assert "error[integrity]: manifest has no files" in err
+    (tmp_path / "a.txt").write_text("a")
+    for info in ("{}", "1"):
+        (tmp_path / "manifest.json").write_text(
+            '{"files": {"a.txt": %s}}' % info)
+        code, out, _ = run_cli(capsys, "audit", str(tmp_path))
+        assert code == EXIT_INTEGRITY
+        assert json.loads(out)["mismatched"] == ["a.txt"]
+
+    out_dir = tmp_path / "sweep3"
+    run_cli(capsys, "sweep", "--max-length", "3", "--records",
+            "--out", str(out_dir))
+    manifest = json.loads((out_dir / "manifest.json").read_text())
+    del manifest["config"]["budget"]
+    (out_dir / "manifest.json").write_text(json.dumps(manifest))
+    code, _, _ = run_cli(capsys, "audit", str(out_dir))
+    assert code == EXIT_OK
+    code, _, err = run_cli(capsys, "audit", str(out_dir), "--recheck", "3")
+    assert code == EXIT_INTEGRITY
+    assert "error[integrity]: manifest has no config.budget" in err
+
+
+# SHA-256 of every artifact, measured once from the code before the
+# summary fold, the sampler's pool and the unranker were unified; any
+# change to the bytes an artifact holds shows here.
+PINNED_DIGESTS = {
+    ("sweep", "--max-length", "5", "--records"): {
+        "census.json": "2d7658b5fd7c3b08d0bd489b2a96aa0b"
+                       "724d6779c0bb99d54628827f9097256d",
+        "complexity.csv": "22be3db3ee842a41ee7eed8d933202b8"
+                          "e15bb5f081e3ee6e1ce30c06c2282bd3",
+        "histograms.json": "6c07176a40a3bbf0e18c123b9183f32f"
+                           "d73e0db073c1d88b58cb6118035a2ab9",
+        "records.csv": "c19303b487f1ec4ac5062934d45f4b16"
+                       "208348d05e3b9aa14aa6c2ea80d7afff",
+    },
+    ("sweep", "--max-length", "5", "--format", "json", "--workers", "2"): {
+        "census.json": "9f4604e222fe5b15180189a8e390ea0f"
+                       "fef1089535950957d8c2a48092d59393",
+        "complexity.json": "0898275ebdc51fcd8a40cc54173b77bc"
+                           "e3b2be69198f94ee5bed48ec927d61d2",
+        "histograms.json": "10786da70255d6d644bae1c7cedbf68c"
+                           "68b005dd82d68412c0324700b00c9624",
+    },
+    ("ctm", "--max-length", "5"): {
+        "ctm.csv": "c6cfd91282c8177ae1a6c46ae87cbd6b"
+                   "2facf86b30c7497ad5f6fbb4a6a63324",
+        "ctm.json": "11958a50c83a941cb76d1cd602aea114"
+                    "f4be89ff10e250f3c19428bde7db3a39",
+    },
+    ("sample", "--max-length", "7", "--n", "200", "--seed", "3",
+     "--workers", "2"): {
+        "sample.csv": "4b86f2b26d1e98b89c17b551516ad89e"
+                      "6f02f348c45f182254fef40994861c23",
+        "sample.json": "4e1bac3395ccd7ea43ed74d9a7dd5939"
+                       "159a6173dfab648817dfa47931419d9f",
+    },
+}
+
+
+def test_artifact_digests_are_pinned(tmp_path, capsys):
+    for i, (argv, want) in enumerate(PINNED_DIGESTS.items()):
+        out_dir = tmp_path / str(i)
+        code, _, _ = run_cli(capsys, *argv, "--out", str(out_dir))
+        assert code == EXIT_OK, argv
+        files = json.loads((out_dir / "manifest.json").read_text())["files"]
+        assert {name: info["sha256"] for name, info in files.items()} == \
+            want, argv

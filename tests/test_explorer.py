@@ -1,17 +1,22 @@
 """Sweep, census, complexity-table, family, and histogram tests."""
 
+import random
 from fractions import Fraction
 
 import pytest
 
-from impspace.enumeration import cumulative_count, unrank_canonical
+from impspace.enumeration import (
+    cumulative_count, rank_canonical, unrank_canonical,
+)
 from impspace.explorer import (
-    FAMILIES, IncompleteCensusError, RunRecord, algorithmic_probability,
-    complexity_table, family_program, halting_census, histograms, sweep,
-    sweep_summary, trivial_bound,
+    FAMILIES, IncompleteCensusError, RunRecord, SummaryFold,
+    algorithmic_probability, complexity_table, family_program,
+    halting_census, histograms, sweep, sweep_summary, trivial_bound,
 )
 from impspace.lang import parse, program_length, render, string_to_nat
-from impspace.vm import classify, run
+from impspace.vm import classify, output_string, run
+
+import bruteforce
 
 
 def collect(max_length, budget=10_000, **kw):
@@ -91,6 +96,58 @@ def test_summary_matches_record_aggregation():
     assert summary.output_hist == output_hist
     assert summary.total == len(records)
     assert summary.total_halting == sum(r.halted for r in records)
+
+
+def _fold(records):
+    fold = SummaryFold()
+    for r in records:
+        fold.add(r.position, r.length, r.halted, r.steps, r.output)
+    return fold
+
+
+def test_fold_merges_parts_in_any_order():
+    records = collect(5)
+    rng = random.Random(11)
+    cuts = sorted(rng.sample(range(1, len(records)), 6))
+    parts = [records[a:b] for a, b in zip([0, *cuts], [*cuts, len(records)])]
+    for part in parts:
+        rng.shuffle(part)
+    # outputs produced in more than one part, so the witness of each has to
+    # move when a later part is merged before an earlier one
+    seen_in = {}
+    for i, part in enumerate(parts):
+        for r in part:
+            if r.halted:
+                seen_in.setdefault(r.output, set()).add(i)
+    assert sum(len(found) > 1 for found in seen_in.values()) > 10
+    merged = SummaryFold()
+    for part in reversed(parts):
+        merged.merge(_fold(part))
+    whole = _fold(records).summary(5, 10_000)
+    assert merged.summary(5, 10_000) == whole == sweep_summary(5, 10_000)
+
+
+def test_summary_matches_bruteforce_oracle():
+    # census and producer table from the brute-force grammar and interpreter;
+    # lengths ascend, so an output's first producer has its best length
+    census, table = {}, {}
+    for length in range(1, 6):
+        for program in bruteforce.programs(length):
+            store = bruteforce.run_naive(program, fuel=10_000)
+            census.setdefault(length, [0, 0])[store is None] += 1
+            if store is None:
+                continue
+            entry = table.setdefault(output_string(store), [length, [], 0])
+            entry[2] += 1
+            if length == entry[0]:
+                entry[1].append(rank_canonical(program))
+    summary = sweep_summary(5, 10_000)
+    assert {l: [row.halted, row.not_halted]
+            for l, row in summary.census.items()} == census
+    assert {out: (e.best_length, e.witness, e.producers)
+            for out, e in summary.complexity.items()} == \
+        {out: (best, min(witnesses), n)
+         for out, (best, witnesses, n) in table.items()}
 
 
 def test_summary_parallel_merge_is_deterministic():
