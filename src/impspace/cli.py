@@ -55,7 +55,7 @@ class IntegrityError(Exception):
 
 def _default_workers() -> int:
     value = os.environ.get("IMP_SPACE_WORKERS", "")
-    if value.isdigit() and int(value) >= 1:
+    if value.isascii() and value.isdigit() and int(value) >= 1:
         return int(value)
     return 1
 

@@ -27,16 +27,25 @@ every member of that (category, length), or every child tuple of that
 module-level table.  Only blocks of at most ``_TABLE_CAP`` (4,096)
 entries get a table, which keeps the tables to a few megabytes; walks
 over larger blocks stream their top layers and pair the shared subtrees
-from the tables beneath.  Unranking inside a tabled block is a tuple
-index; outside one it is the first step of the same walk started at the
-rank, so one rank walk serves iteration and unranking.  Nothing is built
-at import.  Shared subtrees are ordinary immutable nodes, so a program
-may hold one object at two places.
+from the tables beneath.  Shared subtrees are ordinary immutable nodes,
+so a program may hold one object at two places.
+
+Ranks are located through offsets (Nijenhuis and Wilf, *Combinatorial
+Algorithms*, 1978).  Every block lazily gets one table of rank offsets:
+the start rank of each non-empty alternative of a (category, length),
+and the start rank, head length and tail count of each non-empty split
+of a (children, total).  Unranking inside a tabled block is a tuple
+index; outside one it descends the grammar with one ``bisect_right``
+over the offsets and one ``divmod`` of the rank per level.  Walks started
+at a rank find their first alternative and split by the same bisection,
+and ranking adds up the same offsets.  Nothing is built at import, and
+counting builds no offsets.
 """
 
 from __future__ import annotations
 
 import math
+from bisect import bisect_right
 from dataclasses import dataclass
 from itertools import islice, repeat, starmap
 from operator import add
@@ -124,12 +133,8 @@ def _count(cat: str, length: int) -> int:
     if cat == "N":
         total = _numeral_count(length)
     else:
-        total = 0
-        for alt in _GRAMMAR[cat]:
-            if not alt.children:
-                total += 1 if length == alt.cost else 0
-            else:
-                total += _ways(alt.children, length - alt.cost)
+        total = sum(_ways(alt.children, length - alt.cost)
+                    for alt in _GRAMMAR[cat])
     _count_cache[key] = total
     return total
 
@@ -173,6 +178,58 @@ def cumulative_count(length: int) -> int:
 
 
 # ---------------------------------------------------------------------------
+# Rank offsets (see the module docstring)
+# ---------------------------------------------------------------------------
+
+_Ints = tuple[int, ...]
+
+_alt_offsets_cache: dict[tuple[str, int], tuple[_Ints, _Ints]] = {}
+_split_offsets_cache: dict[tuple[tuple[str, ...], int],
+                           tuple[_Ints, _Ints, _Ints]] = {}
+
+
+def _alt_offsets(cat: str, length: int) -> tuple[_Ints, _Ints]:
+    """Start ranks and grammar indices of the non-empty alternatives."""
+    key = (cat, length)
+    offsets = _alt_offsets_cache.get(key)
+    if offsets is None:
+        starts, indices = [], []
+        acc = 0
+        for i, alt in enumerate(_GRAMMAR[cat]):
+            size = _ways(alt.children, length - alt.cost)
+            if size:
+                starts.append(acc)
+                indices.append(i)
+                acc += size
+        offsets = _alt_offsets_cache[key] = (tuple(starts), tuple(indices))
+    return offsets
+
+
+def _split_offsets(children: tuple[str, ...],
+                   total: int) -> tuple[_Ints, _Ints, _Ints]:
+    """Start ranks, head lengths and tail counts of the non-empty splits
+    of a multi-child tuple; a split's ranks run head-major."""
+    key = (children, total)
+    offsets = _split_offsets_cache.get(key)
+    if offsets is None:
+        head, rest = children[0], children[1:]
+        floor = sum(_MIN_LEN[c] for c in rest)
+        starts, head_lens, tails = [], [], []
+        acc = 0
+        for head_len in range(_MIN_LEN[head], total - floor + 1):
+            n = _count(head, head_len)
+            tail = _ways(rest, total - head_len)
+            if n and tail:
+                starts.append(acc)
+                head_lens.append(head_len)
+                tails.append(tail)
+                acc += n * tail
+        offsets = _split_offsets_cache[key] = (
+            tuple(starts), tuple(head_lens), tuple(tails))
+    return offsets
+
+
+# ---------------------------------------------------------------------------
 # Fixed-length enumeration
 # ---------------------------------------------------------------------------
 
@@ -184,7 +241,28 @@ def _unrank_in_length(cat: str, length: int, k: int) -> Any:
     table = _members(cat, length)
     if table is not None:
         return table[k]
-    return next(_stream_members(cat, length, k))
+    starts, indices = _alt_offsets(cat, length)
+    i = bisect_right(starts, k) - 1
+    alt = _GRAMMAR[cat][indices[i]]
+    if not alt.children:
+        return alt.build()
+    return alt.build(*_unrank_children(
+        alt.children, length - alt.cost, k - starts[i]))
+
+
+def _unrank_children(children: tuple[str, ...], total: int,
+                     k: int) -> tuple[Any, ...]:
+    if len(children) == 1:
+        return (_unrank_in_length(children[0], total, k),)
+    table = _child_tuples(children, total)
+    if table is not None:
+        return table[k]
+    starts, head_lens, tails = _split_offsets(children, total)
+    i = bisect_right(starts, k) - 1
+    head_len = head_lens[i]
+    head_rank, tail_rank = divmod(k - starts[i], tails[i])
+    return ((_unrank_in_length(children[0], head_len, head_rank),)
+            + _unrank_children(children[1:], total - head_len, tail_rank))
 
 
 def _decompose(cat: str, value: Any) -> tuple[int, tuple[Any, ...]]:
@@ -251,25 +329,23 @@ def _rank_in_length(cat: str, value: Any) -> int:
         return value if value < 10 else value - 10 ** (digit_count(value) - 1)
     alt_index, kids = _decompose(cat, value)
     length = _length_of(cat, value)
-    rank = 0
-    for alt in _GRAMMAR[cat][:alt_index]:
-        if not alt.children:
-            rank += 1 if length == alt.cost else 0
-        else:
-            rank += _ways(alt.children, length - alt.cost)
+    starts, indices = _alt_offsets(cat, length)
+    rank = starts[indices.index(alt_index)]
     alt = _GRAMMAR[cat][alt_index]
     if not alt.children:
         return rank
-    children = alt.children
-    total = length - alt.cost
-    for i, (cat_i, kid) in enumerate(zip(children, kids)):
-        rest = children[i + 1:]
-        kid_len = _length_of(cat_i, kid)
-        for cat_len in range(_MIN_LEN[cat_i], kid_len):
-            rank += _count(cat_i, cat_len) * _ways(rest, total - cat_len)
-        rank += _rank_in_length(cat_i, kid) * _ways(rest, total - kid_len)
-        total -= kid_len
-    return rank
+    return rank + _rank_children(alt.children, length - alt.cost, kids)
+
+
+def _rank_children(children: tuple[str, ...], total: int,
+                   kids: tuple[Any, ...]) -> int:
+    if len(children) == 1:
+        return _rank_in_length(children[0], kids[0])
+    starts, head_lens, tails = _split_offsets(children, total)
+    head_len = _length_of(children[0], kids[0])
+    i = head_lens.index(head_len)
+    return (starts[i] + _rank_in_length(children[0], kids[0]) * tails[i]
+            + _rank_children(children[1:], total - head_len, kids[1:]))
 
 
 def _iter_in_length(cat: str, length: int, start: int = 0) -> Iterator[Any]:
@@ -285,20 +361,18 @@ def _iter_in_length(cat: str, length: int, start: int = 0) -> Iterator[Any]:
 
 
 def _stream_members(cat: str, length: int, start: int) -> Iterator[Any]:
-    for alt in _GRAMMAR[cat]:
-        if not alt.children:
-            if length == alt.cost:
-                if start == 0:
-                    yield alt.build()
-                else:
-                    start -= 1
-            continue
-        size = _ways(alt.children, length - alt.cost)
-        if start >= size:
-            start -= size
-            continue
-        yield from starmap(alt.build, _iter_children(
-            alt.children, length - alt.cost, start))
+    if start >= _count(cat, length):
+        return
+    starts, indices = _alt_offsets(cat, length)
+    first = bisect_right(starts, start) - 1
+    start -= starts[first]
+    for i in indices[first:]:
+        alt = _GRAMMAR[cat][i]
+        if alt.children:
+            yield from starmap(alt.build, _iter_children(
+                alt.children, length - alt.cost, start))
+        else:
+            yield alt.build()
         start = 0
 
 
@@ -315,24 +389,18 @@ def _iter_children(children: tuple[str, ...], total: int,
 
 def _stream_children(children: tuple[str, ...], total: int,
                      start: int) -> Iterator[tuple[Any, ...]]:
+    if start >= _ways(children, total):
+        return
+    starts, head_lens, tails = _split_offsets(children, total)
+    first = bisect_right(starts, start) - 1
+    head_start, tail_start = divmod(start - starts[first], tails[first])
     head, rest = children[0], children[1:]
-    floor = sum(_MIN_LEN[c] for c in rest)
-    for head_len in range(_MIN_LEN[head], total - floor + 1):
-        n = _count(head, head_len)
-        if not n:
-            continue
-        tail = _ways(rest, total - head_len)
-        if not tail:
-            continue
-        if start >= n * tail:
-            start -= n * tail
-            continue
-        head_start, tail_start = divmod(start, tail)
+    for head_len in head_lens[first:]:
         for head_val in _iter_in_length(head, head_len, head_start):
             yield from map(add, repeat((head_val,)),
                            _iter_children(rest, total - head_len, tail_start))
             tail_start = 0
-        start = 0
+        head_start = 0
 
 
 # ---------------------------------------------------------------------------
@@ -408,10 +476,11 @@ def iter_fixed_length(length: int, start: int = 0) -> Iterator[Program]:
 
 def _length_at(k: int) -> int:
     """The program length whose block contains canonical position k."""
-    length = 1
-    while cumulative_count(length) <= k:
-        length += 1
-    return length
+    while _cumulative[-1] <= k:
+        cumulative_count(len(_cumulative))
+    # the first length whose cumulative count passes k; the empty
+    # length-2 block repeats length 1's count, so bisect_right skips it
+    return bisect_right(_cumulative, k)
 
 
 def unrank_canonical(k: int) -> Program:
@@ -419,7 +488,7 @@ def unrank_canonical(k: int) -> Program:
     if k < 0:
         raise PositionRangeError(f"position {k} is negative")
     length = _length_at(k)
-    return _unrank_in_length("P", length, k - cumulative_count(length - 1))
+    return _unrank_in_length("P", length, k - _cumulative[length - 1])
 
 
 def rank_canonical(p: Program) -> int:

@@ -303,9 +303,10 @@ def _tokenize(text: str) -> list[tuple[str, int]]:
         if c.isspace():
             i += 1
             continue
-        if c.isdigit():
+        # ASCII digits only: str.isdigit also accepts '²' and '٣'
+        if "0" <= c <= "9":
             j = i
-            while j < n and text[j].isdigit():
+            while j < n and "0" <= text[j] <= "9":
                 j += 1
             lexeme = text[i:j]
             if len(lexeme) > 1 and lexeme[0] == "0":

@@ -68,6 +68,14 @@ def test_syntax_error_exit(capsys):
     assert "error[syntax]" in err
 
 
+def test_non_ascii_digit_is_a_syntax_error(capsys):
+    for text in ("x[0] := ²", "x[٣] := 1"):
+        for command in ("run", "rank"):
+            code, _, err = run_cli(capsys, command, text)
+            assert code == EXIT_SYNTAX, (command, text)
+            assert "error[syntax]" in err
+
+
 def test_range_error_exit(capsys):
     code, _, err = run_cli(capsys, "unrank", "--", "-5")
     assert code == EXIT_RANGE
@@ -217,9 +225,10 @@ def test_workers_env_default(monkeypatch):
     from impspace.cli import _build_parser
     args = _build_parser().parse_args(["sweep", "--max-length", "3"])
     assert args.workers == 3
-    monkeypatch.setenv("IMP_SPACE_WORKERS", "junk")
-    args = _build_parser().parse_args(["sweep", "--max-length", "3"])
-    assert args.workers == 1
+    for junk in ("junk", "²"):
+        monkeypatch.setenv("IMP_SPACE_WORKERS", junk)
+        args = _build_parser().parse_args(["sweep", "--max-length", "3"])
+        assert args.workers == 1
 
 
 def test_sweep_records_needs_out(capsys):

@@ -1,6 +1,7 @@
 """Counting and rank/unrank tests, validated against brute-forced spaces."""
 
 import random
+from itertools import count
 
 import pytest
 
@@ -10,6 +11,7 @@ from impspace.enumeration import (
     iter_fixed_length, rank_base, rank_canonical, rank_fixed_length,
     unrank_base, unrank_canonical, unrank_fixed_length,
 )
+from impspace.halting import SplitMix64
 from impspace.lang import If, SKIP, Seq, While, parse, program_length, render
 
 import bruteforce
@@ -100,8 +102,9 @@ def _use_cap(monkeypatch, cap):
 
 
 def test_iterator_agrees_with_unranking(monkeypatch):
-    # unranking outside a table reuses the walk, so the reference at cap 0
-    # is pinned independently: by the ranker and by the brute-force grammar
+    # unranking, the walk and the ranker all read the same rank offsets, so
+    # the reference at cap 0 is pinned independently by the brute-force
+    # grammar
     lengths = (1, 3, 4, 5)
     _use_cap(monkeypatch, 0)
     want = {length: [unrank_fixed_length(length, k)
@@ -137,6 +140,29 @@ def test_iterator_resumes_anywhere(monkeypatch):
             assert tail == full[start:], (cap, start)
 
 
+def test_descent_agrees_with_walk(monkeypatch):
+    rng = SplitMix64(9)
+    ranks = [rng.randbelow(count_programs(9)) for _ in range(200)]
+    for cap in (0, enumeration._TABLE_CAP):
+        _use_cap(monkeypatch, cap)
+        for k in ranks:
+            assert unrank_fixed_length(9, k) == \
+                next(iter_fixed_length(9, k)), (cap, k)
+
+
+def test_counting_builds_no_offsets(monkeypatch):
+    # the offsets are built on first unrank, never by counting, so that
+    # importing the package and sizing a space stays cheap
+    for name, empty in (("_count_cache", {}), ("_ways_cache", {}),
+                        ("_cumulative", [0]), ("_alt_offsets_cache", {}),
+                        ("_split_offsets_cache", {})):
+        monkeypatch.setattr(enumeration, name, empty)
+    cumulative_count(14)
+    count_programs(14)
+    assert enumeration._alt_offsets_cache == {}
+    assert enumeration._split_offsets_cache == {}
+
+
 # ---------------------------------------------------------------------------
 # Canonical enumeration
 # ---------------------------------------------------------------------------
@@ -162,10 +188,68 @@ def test_canonical_lengths_monotone():
 
 
 def test_canonical_block_boundaries():
-    assert program_length(unrank_canonical(cumulative_count(9) - 1)) == 9
-    assert program_length(unrank_canonical(cumulative_count(9))) == 10
-    assert program_length(unrank_canonical(107)) == 4
-    assert program_length(unrank_canonical(108)) == 5
+    for length in (*range(1, 15), 40):
+        end = cumulative_count(length)
+        if count_programs(length):
+            assert program_length(unrank_canonical(end - 1)) == length
+        following = next(n for n in count(length + 1) if count_programs(n))
+        assert program_length(unrank_canonical(end)) == following, length
+    # no program has length 2
+    assert program_length(unrank_canonical(1)) == 3
+
+
+# Renders measured with the generator-based unranker that preceded the rank
+# offsets: 16 positions drawn by SplitMix64(2024) below cumulative_count(14),
+# then the first and last position of every block of length 9 to 14.
+PINNED_DRAWN = {
+    13_684_174_588_552: "x[5] := ((3 * x[4592]) - x[11])",
+    42_020_858_997_869: "x[47000] := 4940898",
+    16_351_828_662_093: "x[7] := ((2109 * 2612) + 2)",
+    19_246_367_470_000: "x[9] := ((8 * (4 + (0 * 0))) + 629)",
+    23_763_860_073_940: "x[43] := ((895 - (39 * 6)) + 9)",
+    60_074_743_721_499: "(while (0 = (1 + (3 + 376588))) do skip)",
+    64_958_224_117_392: "(while ((300 + (5 + x[0])) = 481) do skip)",
+    20_484_964_590_826: "x[11] := (9468238 - 65)",
+    47_714_420_389_753: "x[7279561] := 52382",
+    62_808_746_949_139: "(while (x[247] = (72792 - 8)) do skip)",
+    70_593_957_862_597: "(while ((x[9] - 25) < (6068 + 6)) do skip)",
+    37_491_570_939_836: "x[3777] := ((6 - (3 + 8)) - 75)",
+    62_177_516_304_475: "(while (811 = (7 - ((7 + 66) * 4))) do skip)",
+    50_803_571_397_887: "x[950118171] := 426",
+    27_245_142_182_110: "x[77] := x[540685139]",
+    26_993_047_852_696: "x[74] := (16879572 - 5)",
+}
+PINNED_EDGES = {
+    8_575_789: "x[0] := 100000",
+    123_089_620: "(while (((false ∧ false) ∧ false) ∧ false) do skip)",
+    123_089_621: "x[0] := 1000000",
+    1_755_023_710: "(while (((¬false ∧ false) ∧ false) ∧ false) do skip)",
+    1_755_023_711: "x[0] := 10000000",
+    25_073_981_454:
+        "(while ((((false ∧ false) ∧ false) ∧ false) ∧ false) do skip)",
+    25_073_981_455: "x[0] := 100000000",
+    360_770_731_824:
+        "(while ((((¬false ∧ false) ∧ false) ∧ false) ∧ false) do skip)",
+    360_770_731_825: "x[0] := 1000000000",
+    5_241_549_736_970: "(while (((((false ∧ false) ∧ false) ∧ false) "
+                       "∧ false) ∧ false) do skip)",
+    5_241_549_736_971: "x[0] := 10000000000",
+    76_982_973_196_648: "(while (((((¬false ∧ false) ∧ false) ∧ false) "
+                        "∧ false) ∧ false) do skip)",
+}
+
+
+def test_canonical_pinned_long_unranks():
+    rng = SplitMix64(2024)
+    assert [rng.randbelow(cumulative_count(14)) for _ in range(16)] == \
+        list(PINNED_DRAWN)
+    assert list(PINNED_EDGES) == [
+        k for length in range(9, 15)
+        for k in (cumulative_count(length - 1), cumulative_count(length) - 1)]
+    for k, text in {**PINNED_DRAWN, **PINNED_EDGES}.items():
+        p = unrank_canonical(k)
+        assert render(p) == text, k
+        assert rank_canonical(p) == k
 
 
 def test_canonical_rejects_negative():

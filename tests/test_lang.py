@@ -62,6 +62,16 @@ def test_parse_leading_zero_rejected():
         parse("x[0] := 007")
 
 
+def test_parse_rejects_non_ascii_digits():
+    # str.isdigit accepts both; int() rejects the first and reads the
+    # second as 3, which would accept a text that does not render back
+    with pytest.raises(ImpSyntaxError) as exc:
+        parse("x[0] := ²")
+    assert exc.value.position == 8
+    with pytest.raises(ImpSyntaxError):
+        parse("x[٣] := 1")
+
+
 def test_parse_error_positions():
     with pytest.raises(ImpSyntaxError) as exc:
         parse("(skip; skip")      # missing close paren
