@@ -23,13 +23,16 @@ import os
 import sys
 from fractions import Fraction
 from pathlib import Path
+from time import perf_counter
 
 from . import __version__
 from .enumeration import (
     PositionRangeError, count_programs, cumulative_count, rank_base,
     rank_canonical, unrank_base, unrank_canonical,
 )
-from .explorer import (
+# ``sweep`` is unused here, but perfbench/tracer.py wraps
+# ``impspace.cli.sweep``, so the name stays importable from this module
+from .explorer import (  # noqa: F401
     FAMILIES, SweepSummary, algorithmic_probability, family_program, sweep,
     sweep_summary,
 )
@@ -221,13 +224,12 @@ def _complexity_json(summary: SweepSummary, config: dict) -> str:
     })
 
 
-def _records_csv(max_length: int, budget: int, workers: int,
-                 exact_budget: bool) -> str:
-    lines = ["position,length,halted,steps,output"]
-    for r in sweep(max_length, budget, workers, exact_budget=exact_budget):
-        halted = "true" if r.halted else "false"
-        lines.append(f"{r.position},{r.length},{halted},{r.steps},{r.output}")
-    return "\n".join(lines) + "\n"
+def _swept(programs: int, started: float) -> None:
+    """The closing stderr line of a sweep; timings stay out of artifacts."""
+    wall = perf_counter() - started
+    rate = programs / wall if wall > 0 else 0.0
+    _progress(f"swept {programs} programs in {wall:.2f} s "
+              f"({rate:.0f} programs/s)")
 
 
 def _cmd_sweep(args) -> int:
@@ -242,10 +244,22 @@ def _cmd_sweep(args) -> int:
     }
     if args.records and args.out is None:
         raise ValueError("--records needs --out")
+    started = perf_counter()
     _progress(f"sweeping {cumulative_count(args.max_length)} programs "
               f"(length <= {args.max_length}, budget {args.budget})")
+    # records.csv is collected as one string per chunk, rendered as the
+    # chunk arrives: keeping the row tuples would double the peak memory
+    records = ["position,length,halted,steps,output\n"]
+
+    def record_chunk(rows: list[tuple]) -> None:
+        records.append("".join(
+            f"{position},{length},{'true' if halted else 'false'},"
+            f"{steps},{output}\n"
+            for position, length, halted, steps, output in rows))
+
     summary = sweep_summary(args.max_length, args.budget, args.workers,
-                            exact_budget=args.exact_budget)
+                            exact_budget=args.exact_budget,
+                            records=record_chunk if args.records else None)
     if args.out is None:
         rows = [f"{'length':>6} {'halted':>12} {'not_halted':>12} "
                 f"{'halted%':>8} {'not_halted%':>12}"]
@@ -253,6 +267,7 @@ def _cmd_sweep(args) -> int:
             rows.append(f"{length:>6} {row.halted:>12} {row.not_halted:>12} "
                         f"{row.halted_pct:>8} {row.not_halted_pct:>12}")
         _emit("\n".join(rows))
+        _swept(summary.total, started)
         return EXIT_OK
     files = {
         "census.json": _census_json(summary, config),
@@ -263,10 +278,9 @@ def _cmd_sweep(args) -> int:
     else:
         files["complexity.csv"] = _complexity_csv(summary)
     if args.records:
-        _progress("second pass for the full record stream")
-        files["records.csv"] = _records_csv(args.max_length, args.budget,
-                                            args.workers, args.exact_budget)
+        files["records.csv"] = "".join(records)
     _write_artifacts(Path(args.out), files, config, "sweep")
+    _swept(summary.total, started)
     return EXIT_OK
 
 
@@ -276,6 +290,7 @@ def _cmd_ctm(args) -> int:
         "max_length": args.max_length,
         "budget": args.budget,
     }
+    started = perf_counter()
     summary = sweep_summary(args.max_length, args.budget, args.workers)
     total = summary.total_halting
     lines = ["output,best_length,witness,producers,probability,complexity_bits"]
@@ -287,13 +302,15 @@ def _cmd_ctm(args) -> int:
     body = "\n".join(lines) + "\n"
     if args.out is None:
         _emit(body)
-        return EXIT_OK
-    _write_artifacts(Path(args.out), {
-        "ctm.csv": body,
-        "ctm.json": _dump_json({"config": config,
-                                "total_halting": total,
-                                "distinct_outputs": len(summary.complexity)}),
-    }, config, "ctm")
+    else:
+        _write_artifacts(Path(args.out), {
+            "ctm.csv": body,
+            "ctm.json": _dump_json({
+                "config": config,
+                "total_halting": total,
+                "distinct_outputs": len(summary.complexity)}),
+        }, config, "ctm")
+    _swept(summary.total, started)
     return EXIT_OK
 
 
@@ -317,7 +334,10 @@ def _cmd_audit(args) -> int:
     manifest_path = Path(args.manifest)
     if manifest_path.is_dir():
         manifest_path = manifest_path / "manifest.json"
-    manifest = json.loads(manifest_path.read_text())
+    try:
+        manifest = json.loads(manifest_path.read_bytes())
+    except (ValueError, RecursionError) as err:
+        raise IntegrityError(f"manifest is not valid JSON: {err}") from None
     base = manifest_path.parent
     files = manifest.get("files") if isinstance(manifest, dict) else None
     if not isinstance(files, dict):
@@ -339,20 +359,29 @@ def _cmd_audit(args) -> int:
     rechecked = failures = 0
     if args.recheck and "records.csv" in files \
             and "records.csv" not in missing:
-        budget = manifest.get("config", {}).get("budget")
-        if budget is None:
-            raise IntegrityError("manifest has no config.budget")
-        with open(base / "records.csv", newline="") as fh:
+        config = manifest.get("config")
+        budget = config.get("budget") if isinstance(config, dict) else None
+        if type(budget) is not int or budget < 1:
+            raise IntegrityError(
+                "manifest has no config.budget (a positive integer)")
+        with open(base / "records.csv", newline="",
+                  errors="replace") as fh:
             rows = list(csv.DictReader(fh))
         rng = SplitMix64(args.seed)
         for _ in range(min(args.recheck, len(rows))):
             row = rows[rng.randbelow(len(rows))]
-            result = classify(unrank_canonical(int(row["position"])), budget)
-            expect = (row["halted"] == "true", int(row["steps"]),
-                      row["output"])
-            got = (result.halted, result.steps, result.output)
             rechecked += 1
-            if got != expect:
+            try:
+                program = unrank_canonical(int(row["position"]))
+                expect = (row["halted"] == "true", int(row["steps"]),
+                          row["output"])
+            except (LookupError, TypeError, ValueError):
+                # a malformed row (missing field, bad number, position out
+                # of range) cannot match any run
+                failures += 1
+                continue
+            result = classify(program, budget)
+            if (result.halted, result.steps, result.output) != expect:
                 failures += 1
         report["rechecked"] = rechecked
         report["recheck_failures"] = failures

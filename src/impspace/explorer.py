@@ -3,7 +3,10 @@
 A *sweep* runs every program up to a length bound under one step budget
 and records, per canonical position: length, halted flag, step count,
 and output bitstring.  One mergeable fold (``SummaryFold``) turns rows into
-the statistics, inside the sweep workers or over a record stream:
+the statistics, inside the sweep workers or over a record stream.  A
+sweep that needs both the rows and the statistics (``sweep_summary`` with
+a ``records`` sink) gets them from one pass: each worker folds its chunk
+and hands back the chunk's rows with the fold.  The statistics are:
 
 * the halting census per length;
 * the shortest-producer table: for each output string, the minimal
@@ -24,7 +27,7 @@ from dataclasses import dataclass
 from fractions import Fraction
 from itertools import islice
 from math import log2
-from typing import Iterable, Iterator
+from typing import Callable, Iterable, Iterator
 
 from .enumeration import count_programs, cumulative_count, iter_fixed_length
 from .lang import (
@@ -201,16 +204,22 @@ def _plan(max_length: int, budget: int, workers: int,
     return tasks
 
 
-def _record_task(task) -> list[tuple[int, int, bool, int, str]]:
+def _record_task(task) -> tuple[SummaryFold, list[tuple]]:
+    """Fold one chunk and keep its rows: ``(fold, [(position, length,
+    halted, steps, output), ...])``."""
     length, start, count, base, budget, exact_budget = task
     execute = run if exact_budget else classify
+    fold = SummaryFold()
+    add = fold.add
     rows = []
+    append = rows.append
     programs = islice(iter_fixed_length(length, start), count)
     for position, program in enumerate(programs, base):
         result = execute(program, budget)
-        rows.append((position, length, result.halted, result.steps,
-                     result.output))
-    return rows
+        row = (position, length, result.halted, result.steps, result.output)
+        add(*row)
+        append(row)
+    return fold, rows
 
 
 def sweep(max_length: int, budget: int, workers: int = 1,
@@ -222,8 +231,8 @@ def sweep(max_length: int, budget: int, workers: int = 1,
     every non-halting program (slower, used for cross-validation).
     """
     tasks = _plan(max_length, budget, workers, exact_budget)
-    for chunk in ordered_map(_record_task, tasks, workers):
-        for row in chunk:
+    for _, rows in ordered_map(_record_task, tasks, workers):
+        for row in rows:
             yield RunRecord(*row)
 
 
@@ -240,17 +249,29 @@ def _summary_task(task) -> SummaryFold:
 
 
 def sweep_summary(max_length: int, budget: int, workers: int = 1,
-                  exact_budget: bool = False) -> SweepSummary:
+                  exact_budget: bool = False,
+                  records: Callable[[list[tuple]], None] | None = None,
+                  ) -> SweepSummary:
     """Sweep with the fold done inside the workers, the parts merged here.
 
     Produces exactly the statistics that ``halting_census``,
     ``complexity_table`` and ``histograms`` would give over the full
     record stream, in constant memory per distinct output.
+
+    ``records``, if given, also receives the rows of the same pass: it is
+    called once per chunk, in position order, with a list of
+    ``(position, length, halted, steps, output)`` tuples, so that every
+    program runs once whether or not its row is kept.
     """
     tasks = _plan(max_length, budget, workers, exact_budget)
     fold = SummaryFold()
-    for part in ordered_map(_summary_task, tasks, workers):
-        fold.merge(part)
+    if records is None:
+        for part in ordered_map(_summary_task, tasks, workers):
+            fold.merge(part)
+    else:
+        for part, rows in ordered_map(_record_task, tasks, workers):
+            fold.merge(part)
+            records(rows)
     return fold.summary(max_length, budget)
 
 

@@ -1,6 +1,7 @@
 """End-to-end CLI tests driven through main() with captured streams."""
 
 import json
+import re
 
 import pytest
 
@@ -263,6 +264,93 @@ def test_audit_rejects_incomplete_manifest(tmp_path, capsys):
     code, _, err = run_cli(capsys, "audit", str(out_dir), "--recheck", "3")
     assert code == EXIT_INTEGRITY
     assert "error[integrity]: manifest has no config.budget" in err
+
+
+def test_audit_counts_malformed_rows_as_recheck_failures(tmp_path, capsys):
+    out_dir = tmp_path / "sweep3"
+    run_cli(capsys, "sweep", "--max-length", "3", "--records",
+            "--out", str(out_dir))
+    (out_dir / "records.csv").write_bytes(
+        b"position,length,halted,steps,output\n"
+        b"x,1,true,1,\n"        # position is not a number
+        b"-1,1,true,1,\n"       # position out of range
+        b"0,1,true,many,\n"     # steps is not a number
+        b"0,1\n"                # fields missing
+        b"0,1,true,1,\xff\n")    # not UTF-8
+    code, out, err = run_cli(capsys, "audit", str(out_dir), "--recheck", "10")
+    assert code == EXIT_INTEGRITY
+    assert "error[integrity]" in err
+    report = json.loads(out)
+    assert report["mismatched"] == ["records.csv"]
+    assert report["rechecked"] == 5 and report["recheck_failures"] == 5
+
+
+def test_audit_rejects_unparsable_manifest(tmp_path, capsys):
+    for data in (b"{not json", b"", b"\xff\xfe{}", b"[" * 100_000):
+        (tmp_path / "manifest.json").write_bytes(data)
+        for extra in ((), ("--recheck", "3")):
+            code, out, err = run_cli(capsys, "audit", str(tmp_path), *extra)
+            assert code == EXIT_INTEGRITY, (data, extra)
+            assert "error[integrity]: manifest is not valid JSON" in err
+            assert out == ""
+
+
+def _count_calls(monkeypatch, name):
+    calls = []
+    original = getattr(explorer, name)
+
+    def counted(*args, **kwargs):
+        calls.append(None)
+        return original(*args, **kwargs)
+
+    monkeypatch.setattr(explorer, name, counted)
+    return calls
+
+
+def test_sweep_records_runs_each_program_once(tmp_path, capsys, monkeypatch):
+    calls = _count_calls(monkeypatch, "classify")
+    code, _, _ = run_cli(capsys, "sweep", "--max-length", "5", "--records",
+                         "--workers", "1", "--out", str(tmp_path / "a"))
+    assert code == EXIT_OK
+    assert len(calls) == 2_232
+
+    calls.clear()
+    exact_calls = _count_calls(monkeypatch, "run")
+    code, _, _ = run_cli(capsys, "sweep", "--max-length", "5", "--records",
+                         "--exact-budget", "--workers", "1",
+                         "--out", str(tmp_path / "b"))
+    assert code == EXIT_OK
+    assert len(exact_calls) == 2_232 and not calls
+
+
+def test_sweep_records_match_library_stream(tmp_path, capsys):
+    want = "position,length,halted,steps,output\n" + "".join(
+        f"{r.position},{r.length},{'true' if r.halted else 'false'},"
+        f"{r.steps},{r.output}\n" for r in explorer.sweep(5, 10_000))
+    for workers in ("1", "2"):
+        out_dir = tmp_path / workers
+        code, _, _ = run_cli(capsys, "sweep", "--max-length", "5",
+                             "--records", "--workers", workers,
+                             "--out", str(out_dir))
+        assert code == EXIT_OK
+        assert (out_dir / "records.csv").read_text() == want, workers
+
+
+def test_sweep_and_ctm_report_rate_on_stderr(tmp_path, capsys):
+    for argv in (("sweep", "--max-length", "4"),
+                 ("sweep", "--max-length", "4", "--records",
+                  "--out", str(tmp_path / "s")),
+                 ("ctm", "--max-length", "4"),
+                 ("ctm", "--max-length", "4", "--out", str(tmp_path / "c"))):
+        code, out, err = run_cli(capsys, *argv)
+        assert code == EXIT_OK
+        last = err.strip().splitlines()[-1]
+        assert re.fullmatch(r"swept 108 programs in \d+\.\d\d s "
+                            r"\(\d+ programs/s\)", last), last
+        assert "swept" not in out
+    for name in ("s", "c"):
+        for path in (tmp_path / name).iterdir():
+            assert "programs/s" not in path.read_text(), path
 
 
 # SHA-256 of every artifact, measured once from the code before the
