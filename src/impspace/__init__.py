@@ -16,7 +16,7 @@ from .lang import (
     nat_to_string, parse, program_length, render, string_to_nat,
 )
 from .vm import (
-    CostModel, Divergence, RunResult,
+    Divergence, RunResult,
     classify, detect_divergence, output_string, run,
 )
 from .enumeration import (

@@ -38,8 +38,8 @@ of a (children, total).  Unranking inside a tabled block is a tuple
 index; outside one it descends the grammar with one ``bisect_right``
 over the offsets and one ``divmod`` of the rank per level.  Walks started
 at a rank find their first alternative and split by the same bisection,
-and ranking adds up the same offsets.  Nothing is built at import, and
-counting builds no offsets.
+and ranking adds up the same offsets.  No table or offset is built at
+import, and counting builds no offsets.
 """
 
 from __future__ import annotations
@@ -52,9 +52,9 @@ from operator import add
 from typing import Any, Callable, Iterator, Sequence
 
 from .lang import (
-    Add, And, Arith, Assign, Bool, Eq, FalseLit, If, Lt, Mul, Not, Num, Or,
-    Program, Reg, Seq, Skip, Sub, TrueLit, While, arith_length, bool_length,
-    digit_count, program_length, FALSE, SKIP, TRUE,
+    Add, And, Assign, Eq, If, Lt, Mul, Not, Num, Or, Program, Reg, Seq, Sub,
+    While, arith_length, bool_length, digit_count, program_length,
+    FALSE, SKIP, TRUE,
 )
 
 
@@ -265,51 +265,32 @@ def _unrank_children(children: tuple[str, ...], total: int,
             + _unrank_children(children[1:], total - head_len, tail_rank))
 
 
+def _alt_of_type(alts: tuple[_Alt, ...],
+                 ) -> dict[type, tuple[int, tuple[str, ...]]]:
+    """Node type -> (alternative index, child field names) of one category.
+
+    A composite alternative builds its node class, a leaf its singleton;
+    a node's fields follow the grammar's child order.
+    """
+    table = {}
+    for i, alt in enumerate(alts):
+        cls = alt.build if alt.children else type(alt.build())
+        table[cls] = (i, cls.__match_args__)
+    return table
+
+
+_ALT_OF_TYPE = {cat: _alt_of_type(_GRAMMAR[cat]) for cat in "ABP"}
+
+
 def _decompose(cat: str, value: Any) -> tuple[int, tuple[Any, ...]]:
     """Map a tree back to (alternative index, child values)."""
     if cat == "X":
         return 0, (value,)
-    if cat == "A":
-        match value:
-            case Num(n):
-                return 0, (n,)
-            case Reg(i):
-                return 1, (i,)
-            case Add(l, r):
-                return 2, (l, r)
-            case Sub(l, r):
-                return 3, (l, r)
-            case Mul(l, r):
-                return 4, (l, r)
-    if cat == "B":
-        match value:
-            case TrueLit():
-                return 0, ()
-            case FalseLit():
-                return 1, ()
-            case Eq(l, r):
-                return 2, (l, r)
-            case Lt(l, r):
-                return 3, (l, r)
-            case Not(o):
-                return 4, (o,)
-            case Or(l, r):
-                return 5, (l, r)
-            case And(l, r):
-                return 6, (l, r)
-    if cat == "P":
-        match value:
-            case Skip():
-                return 0, ()
-            case Assign(t, v):
-                return 1, (t, v)
-            case Seq(f, s):
-                return 2, (f, s)
-            case If(c, t, e):
-                return 3, (c, t, e)
-            case While(c, b):
-                return 4, (c, b)
-    raise TypeError(f"not a category-{cat} value: {value!r}")
+    entry = _ALT_OF_TYPE[cat].get(type(value))
+    if entry is None:
+        raise TypeError(f"not a category-{cat} value: {value!r}")
+    index, fields = entry
+    return index, tuple(getattr(value, f) for f in fields)
 
 
 def _length_of(cat: str, value: Any) -> int:

@@ -204,22 +204,31 @@ def _plan(max_length: int, budget: int, workers: int,
     return tasks
 
 
-def _record_task(task) -> tuple[SummaryFold, list[tuple]]:
-    """Fold one chunk and keep its rows: ``(fold, [(position, length,
-    halted, steps, output), ...])``."""
+def _sweep_chunk(task, keep: Callable[[tuple], None] | None) -> SummaryFold:
+    """Run and fold one chunk; hand each ``(position, length, halted,
+    steps, output)`` row to ``keep`` as well, unless it is None."""
     length, start, count, base, budget, exact_budget = task
     execute = run if exact_budget else classify
     fold = SummaryFold()
     add = fold.add
-    rows = []
-    append = rows.append
     programs = islice(iter_fixed_length(length, start), count)
     for position, program in enumerate(programs, base):
         result = execute(program, budget)
         row = (position, length, result.halted, result.steps, result.output)
         add(*row)
-        append(row)
-    return fold, rows
+        if keep is not None:
+            keep(row)
+    return fold
+
+
+def _summary_task(task) -> SummaryFold:
+    return _sweep_chunk(task, None)
+
+
+def _record_task(task) -> tuple[SummaryFold, list[tuple]]:
+    """Fold one chunk and keep its rows: ``(fold, rows)``."""
+    rows: list[tuple] = []
+    return _sweep_chunk(task, rows.append), rows
 
 
 def sweep(max_length: int, budget: int, workers: int = 1,
@@ -234,18 +243,6 @@ def sweep(max_length: int, budget: int, workers: int = 1,
     for _, rows in ordered_map(_record_task, tasks, workers):
         for row in rows:
             yield RunRecord(*row)
-
-
-def _summary_task(task) -> SummaryFold:
-    length, start, count, base, budget, exact_budget = task
-    execute = run if exact_budget else classify
-    fold = SummaryFold()
-    add = fold.add
-    programs = islice(iter_fixed_length(length, start), count)
-    for position, program in enumerate(programs, base):
-        result = execute(program, budget)
-        add(position, length, result.halted, result.steps, result.output)
-    return fold
 
 
 def sweep_summary(max_length: int, budget: int, workers: int = 1,

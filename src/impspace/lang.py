@@ -480,6 +480,15 @@ class _Parser:
         self.fail(f"expected a boolean expression, found {tok!r}")
 
 
+def _parse_whole(text: str, rule, what: str):
+    """Parse all of ``text`` with one grammar rule of ``_Parser``."""
+    parser = _Parser(text)
+    tree = rule(parser)
+    if parser.peek() is not None:
+        parser.fail(f"trailing input after {what}: {parser.peek()!r}")
+    return tree
+
+
 def parse(text: str) -> Program:
     """Parse the unique syntax tree of a fully parenthesized program text.
 
@@ -489,24 +498,12 @@ def parse(text: str) -> Program:
     offset, for anything outside the grammar, including numerals with
     leading zeros.
     """
-    parser = _Parser(text)
-    prog = parser.program()
-    if parser.peek() is not None:
-        parser.fail(f"trailing input after program: {parser.peek()!r}")
-    return prog
+    return _parse_whole(text, _Parser.program, "program")
 
 
 def parse_arith(text: str) -> Arith:
-    parser = _Parser(text)
-    expr = parser.arith()
-    if parser.peek() is not None:
-        parser.fail(f"trailing input after expression: {parser.peek()!r}")
-    return expr
+    return _parse_whole(text, _Parser.arith, "expression")
 
 
 def parse_bool(text: str) -> Bool:
-    parser = _Parser(text)
-    expr = parser.boolean()
-    if parser.peek() is not None:
-        parser.fail(f"trailing input after expression: {parser.peek()!r}")
-    return expr
+    return _parse_whole(text, _Parser.boolean, "expression")

@@ -2,16 +2,18 @@
 
 Programs run against a store mapping register indexes to natural numbers
 (absent registers read as 0; the store keeps only nonzero entries).  Every
-run is metered: a statement transition costs one step, and resolving the
-expression it depends on costs one step per expression node, operators and
-leaves alike.  A run either empties its control stack within the step
-budget (halted) or is cut off with ``steps`` pinned to the budget.
+run is metered the same fixed way: a statement transition costs one step,
+and resolving the expression it depends on costs one step per expression
+node, operators and leaves alike.  A run either empties its control stack
+within the step budget (halted) or is cut off with ``steps`` pinned to the
+budget.
 
 ``run`` applies the budget literally.  ``classify`` produces the same
 halted/steps answer but additionally watches for repeated machine
 configurations at ``while`` heads, which lets it bail out of tight loops
 long before the budget is spent.  ``detect_divergence`` is the same
-machine with no budget at all.  All three share one interpreter loop.
+machine with no budget at all, and a cap on the configurations it
+remembers.  All three share one interpreter loop.
 """
 
 from __future__ import annotations
@@ -21,21 +23,9 @@ import math
 from dataclasses import dataclass
 
 from .lang import (
-    Add, And, Arith, Assign, Bool, Eq, FalseLit, If, Lt, Mul, Not, Num, Or,
-    Program, Reg, Seq, Skip, Sub, TrueLit, While, nat_to_string,
+    Add, Arith, Assign, Bool, Eq, FalseLit, If, Lt, Not, Num, Or, Program,
+    Reg, Seq, Skip, Sub, TrueLit, While, nat_to_string,
 )
-
-
-@dataclass(frozen=True, slots=True)
-class CostModel:
-    """Step charges: per statement transition, per operator, per leaf."""
-
-    statement: int = 1
-    operator: int = 1
-    atom: int = 1
-
-
-DEFAULT_COSTS = CostModel()
 
 
 @dataclass(frozen=True, eq=True, slots=True)
@@ -63,15 +53,15 @@ def output_string(store: dict[int, int]) -> str:
     return "".join(nat_to_string(v) for _, v in sorted(store.items()))
 
 
-def expression_cost(expr: Arith | Bool, costs: CostModel = DEFAULT_COSTS) -> int:
-    """Steps charged for evaluating an expression (no short-circuiting)."""
+def expression_cost(expr: Arith | Bool) -> int:
+    """Steps charged for evaluating an expression: one per node (no
+    short-circuiting)."""
     t = type(expr)
     if t in (Num, Reg, TrueLit, FalseLit):
-        return costs.atom
+        return 1
     if t is Not:
-        return costs.operator + expression_cost(expr.operand, costs)
-    return (costs.operator + expression_cost(expr.left, costs)
-            + expression_cost(expr.right, costs))
+        return 1 + expression_cost(expr.operand)
+    return 1 + expression_cost(expr.left) + expression_cost(expr.right)
 
 
 def eval_arith(a: Arith, store: dict[int, int]) -> int:
@@ -112,8 +102,7 @@ class Divergence(enum.Enum):
     UNKNOWN = "unknown"
 
 
-def _execute(program: Program, budget: int | None, costs: CostModel,
-             detect_cycles: bool, state_cap: int | None,
+def _execute(program: Program, budget: int | None, cycle_cap: int | None,
              ) -> tuple[bool, int, dict[int, int], bool]:
     """Drive the machine; returns (halted, steps, store, cycled).
 
@@ -122,22 +111,20 @@ def _execute(program: Program, budget: int | None, costs: CostModel,
     fire: the run ends with steps equal to the budget and the store as it
     stood.  ``budget=None`` runs without a limit.
 
-    With ``detect_cycles`` the configuration (stack plus store) is
+    Unless ``cycle_cap`` is None, the configuration (stack plus store) is
     remembered each time a ``while`` head is about to run; seeing one
     twice proves the run never ends.  Only ``while`` heads need checking:
     code without loops always halts, so an endless run keeps returning to
     some loop head, and a run that repeats a configuration repeats one
-    there.  Once ``state_cap`` configurations are remembered, checking
-    stops; an unlimited run then ends unresolved (neither halted nor
-    cycled) rather than running on blind.
+    there.  A new configuration met with ``cycle_cap`` already remembered
+    ends the run unresolved (neither halted nor cycled).
     """
     limit = math.inf if budget is None else budget
     stack: list[Program] = [program]
     store: dict[int, int] = {}
     steps = 0
     cost_cache: dict[int, int] = {}
-    seen: set[tuple[tuple[int, ...], tuple[tuple[int, int], ...]]] | None
-    seen = set() if detect_cycles else None
+    seen: set[tuple[tuple[int, ...], tuple[tuple[int, int], ...]]] = set()
 
     while stack:
         node = stack.pop()
@@ -145,17 +132,16 @@ def _execute(program: Program, budget: int | None, costs: CostModel,
         if t is Skip:
             continue
         if t is Seq:
-            if steps + costs.statement > limit:
+            if steps + 1 > limit:
                 return False, budget, store, False
-            steps += costs.statement
+            steps += 1
             stack.append(node.second)
             stack.append(node.first)
             continue
         if t is Assign:
             cost = cost_cache.get(id(node))
             if cost is None:
-                cost = costs.statement + expression_cost(node.value, costs)
-                cost_cache[id(node)] = cost
+                cost = cost_cache[id(node)] = 1 + expression_cost(node.value)
             if steps + cost > limit:
                 return False, budget, store, False
             steps += cost
@@ -165,21 +151,17 @@ def _execute(program: Program, budget: int | None, costs: CostModel,
             else:
                 store.pop(node.target, None)
             continue
-        if t is While and seen is not None:
+        if t is While and cycle_cap is not None:
             key = (tuple(map(id, stack)) + (id(node),),
                    tuple(sorted(store.items())))
             if key in seen:
                 return False, budget, store, True
-            if state_cap is not None and len(seen) >= state_cap:
-                if budget is None:
-                    return False, steps, store, False
-                seen = None
-            else:
-                seen.add(key)
+            if len(seen) >= cycle_cap:
+                return False, steps, store, False
+            seen.add(key)
         cost = cost_cache.get(id(node))
         if cost is None:
-            cost = costs.statement + expression_cost(node.cond, costs)
-            cost_cache[id(node)] = cost
+            cost = cost_cache[id(node)] = 1 + expression_cost(node.cond)
         if steps + cost > limit:
             return False, budget, store, False
         steps += cost
@@ -192,8 +174,7 @@ def _execute(program: Program, budget: int | None, costs: CostModel,
     return True, steps, store, False
 
 
-def run(program: Program, budget: int,
-        costs: CostModel = DEFAULT_COSTS) -> RunResult:
+def run(program: Program, budget: int) -> RunResult:
     """Execute under a hard step budget.
 
     Halted runs report their true step count (at most the budget);
@@ -202,12 +183,11 @@ def run(program: Program, budget: int,
     """
     if budget < 0:
         raise ValueError("budget must be nonnegative")
-    halted, steps, store, _ = _execute(program, budget, costs, False, None)
+    halted, steps, store, _ = _execute(program, budget, None)
     return RunResult(halted, steps, store)
 
 
-def classify(program: Program, budget: int, costs: CostModel = DEFAULT_COSTS,
-             state_cap: int | None = None) -> RunResult:
+def classify(program: Program, budget: int) -> RunResult:
     """Like ``run`` but with early loop detection.
 
     A repeated configuration at a ``while`` head proves the program never
@@ -215,13 +195,14 @@ def classify(program: Program, budget: int, costs: CostModel = DEFAULT_COSTS,
     remaining budget.  The halted flag and step count always match ``run``
     exactly; for a run cut short this way the store is the one seen at
     detection time rather than at budget exhaustion, and the output (empty
-    either way) is unaffected.  ``state_cap`` bounds the number of
-    remembered ``while``-head configurations; past it the function
-    degrades to plain budgeted execution.
+    either way) is unaffected.  Every configuration is remembered: each
+    ``while`` head costs at least 2 steps, so a run under this budget
+    meets at most ``budget // 2 + 1`` of them and never reaches a cap of
+    ``budget + 1``.
     """
     if budget < 0:
         raise ValueError("budget must be nonnegative")
-    halted, steps, store, _ = _execute(program, budget, costs, True, state_cap)
+    halted, steps, store, _ = _execute(program, budget, budget + 1)
     return RunResult(halted, steps, store)
 
 
@@ -233,8 +214,7 @@ def detect_divergence(program: Program,
     head (a proof of divergence), or ``state_cap`` distinct ``while``-head
     configurations have been seen, in which case the answer is UNKNOWN.
     """
-    halted, _, _, cycled = _execute(program, None, DEFAULT_COSTS, True,
-                                    state_cap)
+    halted, _, _, cycled = _execute(program, None, state_cap)
     if halted:
         return Divergence.HALTS
     return Divergence.DIVERGES if cycled else Divergence.UNKNOWN

@@ -285,6 +285,22 @@ def test_audit_counts_malformed_rows_as_recheck_failures(tmp_path, capsys):
     assert report["rechecked"] == 5 and report["recheck_failures"] == 5
 
 
+def test_audit_recheck_reads_fields_of_any_length(tmp_path, capsys):
+    out_dir = tmp_path / "sweep3"
+    run_cli(capsys, "sweep", "--max-length", "3", "--records",
+            "--out", str(out_dir))
+    path = out_dir / "records.csv"
+    lines = path.read_text().splitlines(keepends=True)
+    lines[1] = lines[1].rstrip("\n") + "0" * 200_000 + "\n"
+    path.write_text("".join(lines))
+    code, out, err = run_cli(capsys, "audit", str(out_dir), "--recheck", "3")
+    assert code == EXIT_INTEGRITY
+    assert "error[integrity]" in err
+    report = json.loads(out)
+    assert report["mismatched"] == ["records.csv"]
+    assert report["rechecked"] == 3
+
+
 def test_audit_rejects_unparsable_manifest(tmp_path, capsys):
     for data in (b"{not json", b"", b"\xff\xfe{}", b"[" * 100_000):
         (tmp_path / "manifest.json").write_bytes(data)

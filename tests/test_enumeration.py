@@ -12,7 +12,9 @@ from impspace.enumeration import (
     unrank_base, unrank_canonical, unrank_fixed_length,
 )
 from impspace.halting import SplitMix64
-from impspace.lang import If, SKIP, Seq, While, parse, program_length, render
+from impspace.lang import (
+    Assign, If, Num, SKIP, Seq, TRUE, While, parse, program_length, render,
+)
 
 import bruteforce
 
@@ -313,3 +315,11 @@ def test_base_rank_of_family_sized_tree_is_fast():
 def test_base_rejects_negative():
     with pytest.raises(PositionRangeError):
         unrank_base(-1)
+
+
+def test_ranking_rejects_foreign_values():
+    # an arithmetic node is no program, a boolean node no arithmetic child
+    for rank, value in ((rank_base, Num(3)), (rank_base, Assign(0, TRUE)),
+                        (rank_fixed_length, Num(3))):
+        with pytest.raises(TypeError, match="not a category-"):
+            rank(value)
