@@ -372,16 +372,17 @@ def _cmd_audit(args) -> int:
             row = rows[rng.randbelow(len(rows))].rstrip("\n").split(",")
             rechecked += 1
             try:
-                position, _, halted, steps, output = row
+                position, length, halted, steps, output = row
                 program = unrank_canonical(int(position))
-                expect = (halted == "true", int(steps), output)
+                expect = (int(length), halted == "true", int(steps), output)
             except ValueError:
                 # a malformed row (wrong field count, bad number, position
                 # out of range) cannot match any run
                 failures += 1
                 continue
             result = classify(program, budget)
-            if (result.halted, result.steps, result.output) != expect:
+            if (program_length(program), result.halted, result.steps,
+                    result.output) != expect:
                 failures += 1
         report["rechecked"] = rechecked
         report["recheck_failures"] = failures

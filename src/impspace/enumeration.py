@@ -15,11 +15,15 @@ integers:
 * the **canonical** enumeration concatenating the fixed-length blocks in
   increasing length order.
 
-Counts come from mutual recurrences over the grammar: the number of trees
-of an alternative at a given length is a convolution of child counts over
-all ways to split the remaining length.  Everything is memoized, so the
-first query for a length pays the convolution cost and later ones are
-dictionary lookups.
+Counts and ranks come from one recurrence over the grammar, the rank
+offsets (Nijenhuis and Wilf, *Combinatorial Algorithms*, 1978).  Every
+block gets one memoized table of offsets: the start rank of each
+non-empty alternative of a (category, length), and the start rank, head
+length and tail count of each non-empty split of a (children, total),
+each list of starts ending with the block size.  A count is that last
+offset, and the tail counts are the counts of the shorter blocks beneath,
+so the first query for a length pays the convolution over all ways to
+split it once and later ones are lookups.
 
 Trees are shared, not rebuilt.  The first time a small block is needed,
 every member of that (category, length), or every child tuple of that
@@ -30,16 +34,13 @@ over larger blocks stream their top layers and pair the shared subtrees
 from the tables beneath.  Shared subtrees are ordinary immutable nodes,
 so a program may hold one object at two places.
 
-Ranks are located through offsets (Nijenhuis and Wilf, *Combinatorial
-Algorithms*, 1978).  Every block lazily gets one table of rank offsets:
-the start rank of each non-empty alternative of a (category, length),
-and the start rank, head length and tail count of each non-empty split
-of a (children, total).  Unranking inside a tabled block is a tuple
-index; outside one it descends the grammar with one ``bisect_right``
-over the offsets and one ``divmod`` of the rank per level.  Walks started
-at a rank find their first alternative and split by the same bisection,
-and ranking adds up the same offsets.  No table or offset is built at
-import, and counting builds no offsets.
+Unranking inside a tabled block is a tuple index; outside one it
+descends the grammar with one ``bisect_right`` over the offsets and one
+``divmod`` of the rank per level.  Walks started at a rank find their
+first alternative and split by the same bisection.  Ranking climbs back
+up: each subtree returns its rank together with its length, and its
+parent adds the offsets of that length.  No table or offset is built at
+import.
 """
 
 from __future__ import annotations
@@ -47,14 +48,14 @@ from __future__ import annotations
 import math
 from bisect import bisect_right
 from dataclasses import dataclass
+from functools import cache
 from itertools import islice, repeat, starmap
 from operator import add
 from typing import Any, Callable, Iterator, Sequence
 
 from .lang import (
     Add, And, Assign, Eq, If, Lt, Mul, Not, Num, Or, Program, Reg, Seq, Sub,
-    While, arith_length, bool_length, digit_count, program_length,
-    FALSE, SKIP, TRUE,
+    While, digit_count, FALSE, SKIP, TRUE,
 )
 
 
@@ -110,52 +111,20 @@ _GRAMMAR: dict[str, tuple[_Alt, ...]] = {
 _MIN_LEN = {"N": 1, "X": 2, "A": 1, "B": 1, "P": 1}
 
 
-def _numeral_count(digits: int) -> int:
-    if digits < 1:
-        return 0
-    if digits == 1:
-        return 10
-    return 9 * 10 ** (digits - 1)
-
-
-_count_cache: dict[tuple[str, int], int] = {}
-_ways_cache: dict[tuple[tuple[str, ...], int], int] = {}
-
-
 def _count(cat: str, length: int) -> int:
     """Number of category members of exactly this length."""
     if length < _MIN_LEN[cat]:
         return 0
-    key = (cat, length)
-    cached = _count_cache.get(key)
-    if cached is not None:
-        return cached
     if cat == "N":
-        total = _numeral_count(length)
-    else:
-        total = sum(_ways(alt.children, length - alt.cost)
-                    for alt in _GRAMMAR[cat])
-    _count_cache[key] = total
-    return total
+        return 10 if length == 1 else 9 * 10 ** (length - 1)
+    return _alt_offsets(cat, length)[0][-1]
 
 
 def _ways(children: tuple[str, ...], total: int) -> int:
     """Tuples of child trees, one per category, with lengths summing to total."""
     if not children:
         return 1 if total == 0 else 0
-    key = (children, total)
-    cached = _ways_cache.get(key)
-    if cached is not None:
-        return cached
-    head, rest = children[0], children[1:]
-    floor = sum(_MIN_LEN[c] for c in rest)
-    acc = 0
-    for head_len in range(_MIN_LEN[head], total - floor + 1):
-        n = _count(head, head_len)
-        if n:
-            acc += n * _ways(rest, total - head_len)
-    _ways_cache[key] = acc
-    return acc
+    return _split_offsets(children, total)[0][-1]
 
 
 def count_programs(length: int) -> int:
@@ -179,54 +148,43 @@ def cumulative_count(length: int) -> int:
 
 # ---------------------------------------------------------------------------
 # Rank offsets (see the module docstring)
+#
+# Each list of start ranks ends with the block size, so the last start is
+# the count and ``bisect_right(starts, k) - 1`` picks the part of any
+# in-range rank k.
 # ---------------------------------------------------------------------------
 
 _Ints = tuple[int, ...]
 
-_alt_offsets_cache: dict[tuple[str, int], tuple[_Ints, _Ints]] = {}
-_split_offsets_cache: dict[tuple[tuple[str, ...], int],
-                           tuple[_Ints, _Ints, _Ints]] = {}
 
-
+@cache
 def _alt_offsets(cat: str, length: int) -> tuple[_Ints, _Ints]:
     """Start ranks and grammar indices of the non-empty alternatives."""
-    key = (cat, length)
-    offsets = _alt_offsets_cache.get(key)
-    if offsets is None:
-        starts, indices = [], []
-        acc = 0
-        for i, alt in enumerate(_GRAMMAR[cat]):
-            size = _ways(alt.children, length - alt.cost)
-            if size:
-                starts.append(acc)
-                indices.append(i)
-                acc += size
-        offsets = _alt_offsets_cache[key] = (tuple(starts), tuple(indices))
-    return offsets
+    starts, indices = [0], []
+    for i, alt in enumerate(_GRAMMAR[cat]):
+        size = _ways(alt.children, length - alt.cost)
+        if size:
+            starts.append(starts[-1] + size)
+            indices.append(i)
+    return tuple(starts), tuple(indices)
 
 
+@cache
 def _split_offsets(children: tuple[str, ...],
                    total: int) -> tuple[_Ints, _Ints, _Ints]:
     """Start ranks, head lengths and tail counts of the non-empty splits
-    of a multi-child tuple; a split's ranks run head-major."""
-    key = (children, total)
-    offsets = _split_offsets_cache.get(key)
-    if offsets is None:
-        head, rest = children[0], children[1:]
-        floor = sum(_MIN_LEN[c] for c in rest)
-        starts, head_lens, tails = [], [], []
-        acc = 0
-        for head_len in range(_MIN_LEN[head], total - floor + 1):
-            n = _count(head, head_len)
-            tail = _ways(rest, total - head_len)
-            if n and tail:
-                starts.append(acc)
-                head_lens.append(head_len)
-                tails.append(tail)
-                acc += n * tail
-        offsets = _split_offsets_cache[key] = (
-            tuple(starts), tuple(head_lens), tuple(tails))
-    return offsets
+    of a child tuple; a split's ranks run head-major."""
+    head, rest = children[0], children[1:]
+    floor = sum(_MIN_LEN[c] for c in rest)
+    starts, head_lens, tails = [0], [], []
+    for head_len in range(_MIN_LEN[head], total - floor + 1):
+        n = _count(head, head_len)
+        tail = _ways(rest, total - head_len)
+        if n and tail:
+            starts.append(starts[-1] + n * tail)
+            head_lens.append(head_len)
+            tails.append(tail)
+    return tuple(starts), tuple(head_lens), tuple(tails)
 
 
 # ---------------------------------------------------------------------------
@@ -293,40 +251,30 @@ def _decompose(cat: str, value: Any) -> tuple[int, tuple[Any, ...]]:
     return index, tuple(getattr(value, f) for f in fields)
 
 
-def _length_of(cat: str, value: Any) -> int:
+def _rank_in_length(cat: str, value: Any) -> tuple[int, int]:
+    """Rank of a tree within its length block, and that length."""
     if cat == "N":
-        return digit_count(value)
-    if cat == "X":
-        return 1 + digit_count(value)
-    if cat == "A":
-        return arith_length(value)
-    if cat == "B":
-        return bool_length(value)
-    return program_length(value)
-
-
-def _rank_in_length(cat: str, value: Any) -> int:
-    if cat == "N":
-        return value if value < 10 else value - 10 ** (digit_count(value) - 1)
+        length = digit_count(value)
+        return (value if value < 10 else value - 10 ** (length - 1)), length
     alt_index, kids = _decompose(cat, value)
-    length = _length_of(cat, value)
-    starts, indices = _alt_offsets(cat, length)
-    rank = starts[indices.index(alt_index)]
     alt = _GRAMMAR[cat][alt_index]
-    if not alt.children:
-        return rank
-    return rank + _rank_children(alt.children, length - alt.cost, kids)
+    rank, total = _rank_children(alt.children, kids)
+    length = total + alt.cost
+    starts, indices = _alt_offsets(cat, length)
+    return starts[indices.index(alt_index)] + rank, length
 
 
-def _rank_children(children: tuple[str, ...], total: int,
-                   kids: tuple[Any, ...]) -> int:
-    if len(children) == 1:
-        return _rank_in_length(children[0], kids[0])
+def _rank_children(children: tuple[str, ...],
+                   kids: tuple[Any, ...]) -> tuple[int, int]:
+    """Rank of a child tuple within its split block, and its total length."""
+    if not children:
+        return 0, 0
+    head_rank, head_len = _rank_in_length(children[0], kids[0])
+    tail_rank, tail_len = _rank_children(children[1:], kids[1:])
+    total = head_len + tail_len
     starts, head_lens, tails = _split_offsets(children, total)
-    head_len = _length_of(children[0], kids[0])
     i = head_lens.index(head_len)
-    return (starts[i] + _rank_in_length(children[0], kids[0]) * tails[i]
-            + _rank_children(children[1:], total - head_len, kids[1:]))
+    return starts[i] + head_rank * tails[i] + tail_rank, total
 
 
 def _iter_in_length(cat: str, length: int, start: int = 0) -> Iterator[Any]:
@@ -342,9 +290,9 @@ def _iter_in_length(cat: str, length: int, start: int = 0) -> Iterator[Any]:
 
 
 def _stream_members(cat: str, length: int, start: int) -> Iterator[Any]:
-    if start >= _count(cat, length):
-        return
     starts, indices = _alt_offsets(cat, length)
+    if start >= starts[-1]:
+        return
     first = bisect_right(starts, start) - 1
     start -= starts[first]
     for i in indices[first:]:
@@ -370,9 +318,9 @@ def _iter_children(children: tuple[str, ...], total: int,
 
 def _stream_children(children: tuple[str, ...], total: int,
                      start: int) -> Iterator[tuple[Any, ...]]:
-    if start >= _ways(children, total):
-        return
     starts, head_lens, tails = _split_offsets(children, total)
+    if start >= starts[-1]:
+        return
     first = bisect_right(starts, start) - 1
     head_start, tail_start = divmod(start - starts[first], tails[first])
     head, rest = children[0], children[1:]
@@ -441,7 +389,7 @@ def unrank_fixed_length(length: int, k: int) -> Program:
 
 def rank_fixed_length(p: Program) -> int:
     """Rank of a program within its own length block; inverse of unrank."""
-    return _rank_in_length("P", p)
+    return _rank_in_length("P", p)[0]
 
 
 def iter_fixed_length(length: int, start: int = 0) -> Iterator[Program]:
@@ -474,8 +422,8 @@ def unrank_canonical(k: int) -> Program:
 
 def rank_canonical(p: Program) -> int:
     """Canonical position of a program; inverse of unrank_canonical."""
-    length = program_length(p)
-    return cumulative_count(length - 1) + _rank_in_length("P", p)
+    rank, length = _rank_in_length("P", p)
+    return cumulative_count(length - 1) + rank
 
 
 def iter_canonical(start: int = 0, stop: int | None = None) -> Iterator[Program]:

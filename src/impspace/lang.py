@@ -17,6 +17,7 @@ which is how register contents are turned into program output.
 
 from __future__ import annotations
 
+import math
 from dataclasses import dataclass
 
 
@@ -146,11 +147,22 @@ FALSE = FalseLit()
 # Length metric
 # ---------------------------------------------------------------------------
 
+# Smaller values convert to str under any int-to-str digit limit Python
+# accepts (the smallest is 640 digits).
+_STR_BOUND = 10 ** 600
+
+
 def digit_count(n: int) -> int:
     """Number of decimal digits of a nonnegative integer (0 has one digit)."""
     if n < 0:
         raise ValueError("negative value has no numeral")
-    return len(str(n))
+    if n < _STR_BOUND:
+        return len(str(n))
+    # start below the digit count, whatever the float rounding, and step up
+    d = int(n.bit_length() * math.log10(2)) - 1
+    while 10 ** d <= n:
+        d += 1
+    return d
 
 
 def arith_length(a: Arith) -> int:
@@ -483,7 +495,11 @@ class _Parser:
 def _parse_whole(text: str, rule, what: str):
     """Parse all of ``text`` with one grammar rule of ``_Parser``."""
     parser = _Parser(text)
-    tree = rule(parser)
+    try:
+        tree = rule(parser)
+    except RecursionError:
+        raise ImpSyntaxError(f"{what} nested too deeply",
+                             parser.offset()) from None
     if parser.peek() is not None:
         parser.fail(f"trailing input after {what}: {parser.peek()!r}")
     return tree

@@ -1,5 +1,6 @@
 """End-to-end CLI tests driven through main() with captured streams."""
 
+import hashlib
 import json
 import re
 
@@ -75,6 +76,15 @@ def test_non_ascii_digit_is_a_syntax_error(capsys):
             code, _, err = run_cli(capsys, command, text)
             assert code == EXIT_SYNTAX, (command, text)
             assert "error[syntax]" in err
+
+
+def test_deep_nesting_is_a_syntax_error(capsys):
+    text = "(while " + "¬" * 3000 + "true do skip)"
+    for command in ("run", "rank"):
+        code, _, err = run_cli(capsys, command, text)
+        assert code == EXIT_SYNTAX, command
+        assert "error[syntax]: program nested too deeply" in err
+        assert "Traceback" not in err
 
 
 def test_range_error_exit(capsys):
@@ -283,6 +293,32 @@ def test_audit_counts_malformed_rows_as_recheck_failures(tmp_path, capsys):
     report = json.loads(out)
     assert report["mismatched"] == ["records.csv"]
     assert report["rechecked"] == 5 and report["recheck_failures"] == 5
+
+
+def test_audit_recheck_checks_the_length(tmp_path, capsys):
+    out_dir = tmp_path / "sweep3"
+    run_cli(capsys, "sweep", "--max-length", "3", "--records",
+            "--out", str(out_dir))
+    path = out_dir / "records.csv"
+    header, *rows = path.read_text().splitlines(keepends=True)
+    manifest = json.loads((out_dir / "manifest.json").read_text())
+    # a wrong length and a non-numeric one in every row, each with the
+    # manifest re-signed, so only the recheck can tell
+    for length in ("9", "one"):
+        data = (header + "".join(
+            re.sub(r"^(\d+),\d+,", rf"\1,{length},", row) for row in rows)
+        ).encode()
+        path.write_bytes(data)
+        manifest["files"]["records.csv"] = {
+            "bytes": len(data), "sha256": hashlib.sha256(data).hexdigest()}
+        (out_dir / "manifest.json").write_text(json.dumps(manifest))
+        code, out, err = run_cli(capsys, "audit", str(out_dir),
+                                 "--recheck", "50")
+        assert code == EXIT_INTEGRITY, length
+        assert "error[integrity]" in err
+        report = json.loads(out)
+        assert report["mismatched"] == [], length
+        assert report["rechecked"] == 4 and report["recheck_failures"] == 4
 
 
 def test_audit_recheck_reads_fields_of_any_length(tmp_path, capsys):

@@ -152,17 +152,19 @@ def test_descent_agrees_with_walk(monkeypatch):
                 next(iter_fixed_length(9, k)), (cap, k)
 
 
-def test_counting_builds_no_offsets(monkeypatch):
-    # the offsets are built on first unrank, never by counting, so that
-    # importing the package and sizing a space stays cheap
-    for name, empty in (("_count_cache", {}), ("_ways_cache", {}),
-                        ("_cumulative", [0]), ("_alt_offsets_cache", {}),
-                        ("_split_offsets_cache", {})):
-        monkeypatch.setattr(enumeration, name, empty)
-    cumulative_count(14)
+def test_counts_are_the_last_offset(monkeypatch):
+    # counting builds the offsets, so counts from cold, asked out of order,
+    # must come out of the same tables that unranking bisects
+    enumeration._alt_offsets.cache_clear()
+    enumeration._split_offsets.cache_clear()
+    monkeypatch.setattr(enumeration, "_cumulative", [0])
     count_programs(14)
-    assert enumeration._alt_offsets_cache == {}
-    assert enumeration._split_offsets_cache == {}
+    assert count_programs(9) == 114_513_832
+    assert cumulative_count(12) == 360_770_731_825
+    assert cumulative_count(14) == 76_982_973_196_649
+    for length in range(15):
+        assert enumeration._alt_offsets("P", length)[0][-1] == \
+            count_programs(length), length
 
 
 # ---------------------------------------------------------------------------

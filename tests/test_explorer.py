@@ -216,6 +216,14 @@ def test_trivial_bound_examples():
     assert render(program) == "x[0] := 1" and length == 4
 
 
+def test_trivial_bound_of_a_huge_output():
+    # expt_pows2 at n=12 outputs 14,687 bits, a numeral of 4,422 digits
+    output = run(family_program("expt_pows2", 12), 10**6).output
+    program, length = trivial_bound(output)
+    value, digits = program.value.value, length - 3
+    assert 10 ** (digits - 1) <= value < 10 ** digits
+
+
 def test_trivial_bound_runs_to_its_string():
     for bits in ("", "0", "1", "111", "010101", "0000000001"):
         program, length = trivial_bound(bits)

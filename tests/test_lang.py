@@ -173,6 +173,13 @@ def test_digit_count_rejects_negative():
         digit_count(-1)
 
 
+def test_digit_count_past_the_str_limit():
+    # Python refuses int -> str conversions above 4,300 digits by default
+    for k in (4299, 4300, 4301):
+        assert digit_count(10**k - 1) == k
+        assert digit_count(10**k) == k + 1
+
+
 # ---------------------------------------------------------------------------
 # Codec
 # ---------------------------------------------------------------------------
