@@ -39,7 +39,9 @@ descends the grammar with one ``bisect_right`` over the offsets and one
 ``divmod`` of the rank per level.  Walks started at a rank find their
 first alternative and split by the same bisection.  Ranking climbs back
 up: each subtree returns its rank together with its length, and its
-parent adds the offsets of that length.  No table or offset is built at
+parent adds the offsets of that length.  The climb (and the base
+numbering's) runs over an explicit stack, so any program the parser
+accepts ranks, however deeply nested.  No table or offset is built at
 import.
 """
 
@@ -251,30 +253,59 @@ def _decompose(cat: str, value: Any) -> tuple[int, tuple[Any, ...]]:
     return index, tuple(getattr(value, f) for f in fields)
 
 
-def _rank_in_length(cat: str, value: Any) -> tuple[int, int]:
-    """Rank of a tree within its length block, and that length."""
-    if cat == "N":
-        length = digit_count(value)
-        return (value if value < 10 else value - 10 ** (length - 1)), length
-    alt_index, kids = _decompose(cat, value)
+def _fold_tree(cat: str, value: Any, atoms: str, atom: Callable[[Any], Any],
+               join: Callable[[str, int, list], Any]) -> Any:
+    """Fold a tree bottom-up over an explicit stack, so that a tree of any
+    depth the parser accepts folds without deep recursion.
+
+    A value of a category in ``atoms`` becomes ``atom(value)``; any other
+    node becomes ``join(cat, alternative index, parts)``, with ``parts``
+    the folds of its children in grammar order.
+    """
+    done: list[Any] = []  # folds of finished subtrees, in visit order
+    todo: list[tuple[str, Any, int]] = [(cat, value, -1)]
+    while todo:
+        cat, value, alt_index = todo.pop()
+        if alt_index >= 0:  # every child is folded: join them
+            cut = len(done) - len(_GRAMMAR[cat][alt_index].children)
+            parts = done[cut:]
+            del done[cut:]
+            done.append(join(cat, alt_index, parts))
+        elif cat in atoms:
+            done.append(atom(value))
+        else:
+            alt_index, kids = _decompose(cat, value)
+            todo.append((cat, None, alt_index))
+            children = _GRAMMAR[cat][alt_index].children
+            todo.extend(zip(reversed(children), reversed(kids), repeat(-1)))
+    return done[0]
+
+
+def _rank_numeral(value: int) -> tuple[int, int]:
+    length = digit_count(value)
+    return (value if value < 10 else value - 10 ** (length - 1)), length
+
+
+def _join_rank(cat: str, alt_index: int,
+               parts: list[tuple[int, int]]) -> tuple[int, int]:
+    """(rank, length) of a node from the (rank, length) of its children."""
     alt = _GRAMMAR[cat][alt_index]
-    rank, total = _rank_children(alt.children, kids)
+    rank = total = 0
+    # a child tuple ranks head-major: fold from the last child back
+    for i in range(len(parts) - 1, -1, -1):
+        head_rank, head_len = parts[i]
+        total += head_len
+        starts, head_lens, tails = _split_offsets(alt.children[i:], total)
+        j = head_lens.index(head_len)
+        rank = starts[j] + head_rank * tails[j] + rank
     length = total + alt.cost
     starts, indices = _alt_offsets(cat, length)
     return starts[indices.index(alt_index)] + rank, length
 
 
-def _rank_children(children: tuple[str, ...],
-                   kids: tuple[Any, ...]) -> tuple[int, int]:
-    """Rank of a child tuple within its split block, and its total length."""
-    if not children:
-        return 0, 0
-    head_rank, head_len = _rank_in_length(children[0], kids[0])
-    tail_rank, tail_len = _rank_children(children[1:], kids[1:])
-    total = head_len + tail_len
-    starts, head_lens, tails = _split_offsets(children, total)
-    i = head_lens.index(head_len)
-    return starts[i] + head_rank * tails[i] + tail_rank, total
+def _rank_in_length(cat: str, value: Any) -> tuple[int, int]:
+    """Rank of a tree within its length block, and that length."""
+    return _fold_tree(cat, value, "N", _rank_numeral, _join_rank)
 
 
 def _iter_in_length(cat: str, length: int, start: int = 0) -> Iterator[Any]:
@@ -503,20 +534,16 @@ def _unrank_base(cat: str, k: int) -> Any:
     return alt.build(*(_unrank_base(c, p) for c, p in zip(alt.children, parts)))
 
 
-def _rank_base(cat: str, value: Any) -> int:
-    if cat in ("N", "X"):
-        return value
-    alt_index, kids = _decompose(cat, value)
+def _join_base(cat: str, alt_index: int, parts: list[int]) -> int:
+    """Base position of a node from the base positions of its children."""
     alts = _GRAMMAR[cat]
     leaves_before = sum(1 for a in alts[:alt_index] if not a.children)
-    if not alts[alt_index].children:
+    if not parts:
         return leaves_before
     composites_before = sum(1 for a in alts[:alt_index] if a.children)
-    payload = _pack(tuple(
-        _rank_base(c, kid)
-        for c, kid in zip(alts[alt_index].children, kids)))
     return (len(_BASE_LEAVES[cat])
-            + payload * len(_BASE_COMPOSITES[cat]) + composites_before)
+            + _pack(tuple(parts)) * len(_BASE_COMPOSITES[cat])
+            + composites_before)
 
 
 def unrank_base(k: int) -> Program:
@@ -532,4 +559,4 @@ def unrank_base(k: int) -> Program:
 
 def rank_base(p: Program) -> int:
     """Position of a program in the base enumeration; inverse of unrank_base."""
-    return _rank_base("P", p)
+    return _fold_tree("P", p, "NX", lambda index: index, _join_base)

@@ -23,6 +23,7 @@ as 2**n, n!, n**n and n**(2**n).
 
 from __future__ import annotations
 
+from collections import Counter
 from dataclasses import dataclass
 from fractions import Fraction
 from itertools import islice
@@ -91,7 +92,8 @@ def _add_counts(into: dict, part: dict) -> None:
 
 
 class SummaryFold:
-    """Mergeable fold of sweep rows: ``add`` one row, ``merge`` another fold.
+    """Mergeable fold of sweep rows: ``add`` one row, ``merge`` another fold
+    (``of_slice`` folds a run of rows of one length in bulk).
 
     Rows and parts may come in any order; every projection is the same.
     """
@@ -126,6 +128,25 @@ class SummaryFold:
         if length < entry[0] or (length == entry[0] and position < entry[1]):
             entry[0] = length
             entry[1] = position
+
+    @classmethod
+    def of_slice(cls, length: int, ran: int, positions: list[int],
+                 steps: list[int], outputs: list[str]) -> SummaryFold:
+        """The fold of ``ran`` programs of one length, given the ascending
+        positions, steps and outputs of the halting ones among them."""
+        fold = cls()
+        if len(positions) < ran:
+            fold.not_halted[length] = ran - len(positions)
+        if not positions:
+            return fold
+        fold.halted[length] = len(positions)
+        fold.steps_hist[length] = Counter(steps)
+        fold.output_hist = Counter(map(len, outputs))
+        # walked backwards, each output's last write is its first producer
+        first = dict(zip(reversed(outputs), reversed(positions)))
+        fold.producers = {out: [length, first[out], n]
+                          for out, n in Counter(outputs).items()}
+        return fold
 
     def merge(self, other: SummaryFold) -> SummaryFold:
         _add_counts(self.halted, other.halted)
@@ -204,20 +225,40 @@ def _plan(max_length: int, budget: int, workers: int,
     return tasks
 
 
+# Programs run between two folds of a chunk: enough to amortize the bulk
+# fold, few enough that the slice lists stay small next to the tables.
+_SLICE = 2048
+
+
 def _sweep_chunk(task, keep: Callable[[tuple], None] | None) -> SummaryFold:
     """Run and fold one chunk; hand each ``(position, length, halted,
-    steps, output)`` row to ``keep`` as well, unless it is None."""
+    steps, output)`` row to ``keep`` as well, unless it is None.
+
+    The chunk covers one length in ascending positions, so it is folded
+    in bulk, one slice of ``_SLICE`` programs at a time.
+    """
     length, start, count, base, budget, exact_budget = task
     execute = run if exact_budget else classify
     fold = SummaryFold()
-    add = fold.add
-    programs = islice(iter_fixed_length(length, start), count)
-    for position, program in enumerate(programs, base):
-        result = execute(program, budget)
-        row = (position, length, result.halted, result.steps, result.output)
-        add(*row)
-        if keep is not None:
-            keep(row)
+    programs = enumerate(islice(iter_fixed_length(length, start), count),
+                         base)
+    for done in range(0, count, _SLICE):
+        positions: list[int] = []
+        steps: list[int] = []
+        outputs: list[str] = []
+        for position, program in islice(programs, _SLICE):
+            result = execute(program, budget)
+            if result.halted:
+                output = result.output
+                positions.append(position)
+                steps.append(result.steps)
+                outputs.append(output)
+            else:
+                output = ""
+            if keep is not None:
+                keep((position, length, result.halted, result.steps, output))
+        fold.merge(SummaryFold.of_slice(length, min(_SLICE, count - done),
+                                        positions, steps, outputs))
     return fold
 
 

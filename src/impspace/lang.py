@@ -216,20 +216,15 @@ def nat_to_string(n: int) -> str:
     """
     if n < 0:
         raise ValueError("bitstring index must be nonnegative")
-    length = (n + 1).bit_length() - 1
-    if length == 0:
-        return ""
-    offset = n - ((1 << length) - 1)
-    return format(offset, "b").zfill(length)
+    # n + 1 in binary is a 1 followed by the n-th string's bits
+    return bin(n + 1)[3:]
 
 
 def string_to_nat(bits: str) -> int:
     """Position of a bitstring in canonical order; inverse of nat_to_string."""
-    if not bits:
-        return 0
     if any(c not in "01" for c in bits):
         raise ValueError(f"not a bitstring: {bits!r}")
-    return (1 << len(bits)) - 1 + int(bits, 2)
+    return int("1" + bits, 2) - 1
 
 
 # ---------------------------------------------------------------------------

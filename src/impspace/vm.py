@@ -14,6 +14,11 @@ configurations at ``while`` heads, which lets it bail out of tight loops
 long before the budget is spent.  ``detect_divergence`` is the same
 machine with no budget at all, and a cap on the configurations it
 remembers.  All three share one interpreter loop.
+
+A run builds its per-node cost cache and its set of configurations at
+the first ``while`` it meets.  Before a loop no statement repeats, so a
+loop-free run (most of the program space) evaluates each cost once and
+keeps neither structure.
 """
 
 from __future__ import annotations
@@ -50,6 +55,11 @@ def output_string(store: dict[int, int]) -> str:
     Each value contributes its canonical bitstring; zero encodes to the
     empty string, so untouched registers are invisible.
     """
+    if not store:
+        return ""
+    if len(store) == 1:
+        (value,) = store.values()
+        return nat_to_string(value)
     return "".join(nat_to_string(v) for _, v in sorted(store.items()))
 
 
@@ -118,13 +128,16 @@ def _execute(program: Program, budget: int | None, cycle_cap: int | None,
     some loop head, and a run that repeats a configuration repeats one
     there.  A new configuration met with ``cycle_cap`` already remembered
     ends the run unresolved (neither halted nor cycled).
+
+    Expression costs are cached per node, and configurations remembered,
+    only from the first ``while`` on; until then each statement runs once.
     """
     limit = math.inf if budget is None else budget
     stack: list[Program] = [program]
     store: dict[int, int] = {}
     steps = 0
-    cost_cache: dict[int, int] = {}
-    seen: set[tuple[tuple[int, ...], tuple[tuple[int, int], ...]]] = set()
+    cost_cache: dict[int, int] | None = None
+    seen: set[tuple[tuple[int, ...], tuple[tuple[int, int], ...]]] | None = None
 
     while stack:
         node = stack.pop()
@@ -139,9 +152,12 @@ def _execute(program: Program, budget: int | None, cycle_cap: int | None,
             stack.append(node.first)
             continue
         if t is Assign:
-            cost = cost_cache.get(id(node))
-            if cost is None:
-                cost = cost_cache[id(node)] = 1 + expression_cost(node.value)
+            if cost_cache is None:
+                cost = 1 + expression_cost(node.value)
+            else:
+                cost = cost_cache.get(id(node))
+                if cost is None:
+                    cost = cost_cache[id(node)] = 1 + expression_cost(node.value)
             if steps + cost > limit:
                 return False, budget, store, False
             steps += cost
@@ -151,17 +167,24 @@ def _execute(program: Program, budget: int | None, cycle_cap: int | None,
             else:
                 store.pop(node.target, None)
             continue
-        if t is While and cycle_cap is not None:
-            key = (tuple(map(id, stack)) + (id(node),),
-                   tuple(sorted(store.items())))
-            if key in seen:
-                return False, budget, store, True
-            if len(seen) >= cycle_cap:
-                return False, steps, store, False
-            seen.add(key)
-        cost = cost_cache.get(id(node))
+        if t is While:
+            if cost_cache is None:
+                cost_cache, seen = {}, set()
+            if cycle_cap is not None:
+                key = (tuple(map(id, stack)) + (id(node),),
+                       tuple(sorted(store.items())))
+                if key in seen:
+                    return False, budget, store, True
+                if len(seen) >= cycle_cap:
+                    return False, steps, store, False
+                seen.add(key)
+            cost = cost_cache.get(id(node))
+        else:  # If
+            cost = None if cost_cache is None else cost_cache.get(id(node))
         if cost is None:
-            cost = cost_cache[id(node)] = 1 + expression_cost(node.cond)
+            cost = 1 + expression_cost(node.cond)
+            if cost_cache is not None:
+                cost_cache[id(node)] = cost
         if steps + cost > limit:
             return False, budget, store, False
         steps += cost

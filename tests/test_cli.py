@@ -87,6 +87,25 @@ def test_deep_nesting_is_a_syntax_error(capsys):
         assert "Traceback" not in err
 
 
+def test_rank_of_deeply_nested_program(capsys):
+    # the parser takes nesting to about 990 levels; ranking any text it
+    # accepts must not hit the recursion limit
+    for base in ((), ("--base",)):
+        ranks = []
+        for depth in (450, 500, 600, 990):
+            text = "(while " + "¬" * depth + "true do skip)"
+            code, out, err = run_cli(capsys, "rank", text, *base)
+            assert "Traceback" not in err
+            if code == EXIT_SYNTAX:  # past the parser's own limit
+                assert depth == 990, (depth, base)
+                assert "error[syntax]: program nested too deeply" in err
+                continue
+            assert code == EXIT_OK, (depth, base)
+            ranks.append(int(out))
+        # one more negation lengthens the program or grows its payload
+        assert ranks == sorted(ranks) and len(ranks) >= 3
+
+
 def test_range_error_exit(capsys):
     code, _, err = run_cli(capsys, "unrank", "--", "-5")
     assert code == EXIT_RANGE

@@ -5,6 +5,7 @@ from fractions import Fraction
 
 import pytest
 
+from impspace import explorer, vm
 from impspace.enumeration import (
     cumulative_count, rank_canonical, unrank_canonical,
 )
@@ -87,15 +88,39 @@ def test_census_rejects_partial_length():
 
 
 def test_summary_matches_record_aggregation():
-    records = collect(5)
+    # budgets 1-20 cut rows off (at budget 1 nothing of length 4 or 5
+    # halts, so neither may gain a step row); length 6 spans many chunks
+    cases = [(5, budget) for budget in (*range(1, 21), 10_000)]
+    for max_length, budget in [*cases, (6, 10_000)]:
+        records = collect(max_length, budget)
+        summary = sweep_summary(max_length, budget)
+        assert summary.census == halting_census(records)
+        assert summary.complexity == complexity_table(records)
+        steps_hist, output_hist = histograms(records)
+        assert summary.steps_hist == steps_hist, budget
+        assert summary.output_hist == output_hist
+        assert summary.total == len(records)
+        assert summary.total_halting == sum(r.halted for r in records)
+
+
+def test_sweep_calls_each_layer_once_per_program(monkeypatch):
+    # a layer benchmark times the VM and the output encoding by wrapping
+    # these module attributes, so the sweep has to call them per program
+    calls = {"classify": 0, "output_string": 0}
+
+    def counted(name, fn):
+        def wrapper(*args):
+            calls[name] += 1
+            return fn(*args)
+        return wrapper
+
+    monkeypatch.setattr(explorer, "classify",
+                        counted("classify", explorer.classify))
+    monkeypatch.setattr(vm, "output_string",
+                        counted("output_string", vm.output_string))
     summary = sweep_summary(5, 10_000)
-    assert summary.census == halting_census(records)
-    assert summary.complexity == complexity_table(records)
-    steps_hist, output_hist = histograms(records)
-    assert summary.steps_hist == steps_hist
-    assert summary.output_hist == output_hist
-    assert summary.total == len(records)
-    assert summary.total_halting == sum(r.halted for r in records)
+    assert calls == {"classify": 2232, "output_string": 2165}
+    assert (summary.total, summary.total_halting) == (2232, 2165)
 
 
 def _fold(records):

@@ -203,6 +203,22 @@ def test_codec_round_trip():
         assert string_to_nat(nat_to_string(n)) == n
 
 
+def _closed_form(n):
+    """The n-th bitstring as offset past the 2**k - 1 shorter strings."""
+    k = (n + 1).bit_length() - 1
+    return format(n - (2**k - 1), "b").zfill(k) if k else ""
+
+
+def test_codec_matches_closed_form_at_length_boundaries():
+    # up to 20,000 bits, and one value far past the int-str digit limit
+    ks = [*range(1, 130), 1_000, 4_300, 14_000, 20_000]
+    values = [n for k in ks for n in (2**k - 2, 2**k - 1, 2**k)]
+    for n in [*values, 3**126_000 + 5]:
+        bits = _closed_form(n)
+        assert nat_to_string(n) == bits
+        assert string_to_nat(bits) == n
+
+
 def test_codec_round_trip_on_strings():
     for length in range(13):
         for value in range(1 << length):
