@@ -330,6 +330,8 @@ def _cmd_family(args) -> int:
 
 
 def _cmd_audit(args) -> int:
+    if args.recheck < 0:
+        raise ValueError("--recheck must be nonnegative")
     manifest_path = Path(args.manifest)
     if manifest_path.is_dir():
         manifest_path = manifest_path / "manifest.json"

@@ -356,6 +356,16 @@ def test_audit_recheck_reads_fields_of_any_length(tmp_path, capsys):
     assert report["rechecked"] == 3
 
 
+def test_audit_rejects_negative_recheck(tmp_path, capsys):
+    out_dir = tmp_path / "sweep3"
+    run_cli(capsys, "sweep", "--max-length", "3", "--records",
+            "--out", str(out_dir))
+    code, out, err = run_cli(capsys, "audit", str(out_dir), "--recheck", "-3")
+    assert code == EXIT_CONFIG
+    assert "error[config]: --recheck must be nonnegative" in err
+    assert out == ""
+
+
 def test_audit_rejects_unparsable_manifest(tmp_path, capsys):
     for data in (b"{not json", b"", b"\xff\xfe{}", b"[" * 100_000):
         (tmp_path / "manifest.json").write_bytes(data)
@@ -445,6 +455,18 @@ PINNED_DIGESTS = {
                            "e3b2be69198f94ee5bed48ec927d61d2",
         "histograms.json": "10786da70255d6d644bae1c7cedbf68c"
                            "68b005dd82d68412c0324700b00c9624",
+    },
+    # length 6 spans several sweep tasks, so this pin crosses task
+    # boundaries, with the tasks split over two pool workers
+    ("sweep", "--max-length", "6", "--records", "--workers", "2"): {
+        "census.json": "4c3711e99b15a835adef0b6de474a28a"
+                       "de02c4302c997e1fff27411ab1f2ba3b",
+        "complexity.csv": "134337123ff4bc03083d8f137388d504"
+                          "3dc8a6258c3f6c8759928c51feb44293",
+        "histograms.json": "6514a8506e24d35616d14145d81a3ead"
+                           "65c72ef3fe7353b95f88778fe637fb2b",
+        "records.csv": "4f9eb5eefee0fe304e06793877e1a8e1"
+                       "d50b13af75c8a04466d24d6ec67cffb8",
     },
     ("ctm", "--max-length", "5"): {
         "ctm.csv": "c6cfd91282c8177ae1a6c46ae87cbd6b"

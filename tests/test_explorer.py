@@ -123,14 +123,7 @@ def test_sweep_calls_each_layer_once_per_program(monkeypatch):
     assert (summary.total, summary.total_halting) == (2232, 2165)
 
 
-def _fold(records):
-    fold = SummaryFold()
-    for r in records:
-        fold.add(r.position, r.length, r.halted, r.steps, r.output)
-    return fold
-
-
-def test_fold_merges_parts_in_any_order():
+def test_fold_merges_parts_in_any_order(monkeypatch):
     records = collect(5)
     rng = random.Random(11)
     cuts = sorted(rng.sample(range(1, len(records)), 6))
@@ -145,11 +138,38 @@ def test_fold_merges_parts_in_any_order():
             if r.halted:
                 seen_in.setdefault(r.output, set()).add(i)
     assert sum(len(found) > 1 for found in seen_in.values()) > 10
-    merged = SummaryFold()
-    for part in reversed(parts):
-        merged.merge(_fold(part))
-    whole = _fold(records).summary(5, 10_000)
-    assert merged.summary(5, 10_000) == whole == sweep_summary(5, 10_000)
+    # at a chunk of 100 each shuffled part spans several sorted batches
+    for chunk in (explorer._CHUNK, 100):
+        monkeypatch.setattr(explorer, "_CHUNK", chunk)
+        merged = SummaryFold()
+        for part in reversed(parts):
+            merged.merge(explorer._fold_records(part))
+        whole = explorer._fold_records(records).summary(5, 10_000)
+        assert merged.summary(5, 10_000) == whole == \
+            sweep_summary(5, 10_000), chunk
+
+
+def test_chunk_size_changes_nothing(monkeypatch):
+    # the sweep's one unit of work is a task of _CHUNK programs; whatever
+    # its size, the summary, the record stream and the sink's rows agree
+    modes = [{"workers": 1}, {"workers": 2}, {"exact_budget": True}]
+
+    def results():
+        out = []
+        for kw in modes:
+            rows = []
+            out.append((sweep_summary(5, 10_000, records=rows.extend, **kw),
+                        sweep_summary(5, 10_000, **kw),
+                        list(sweep(5, 10_000, **kw)), rows))
+            # every position once, so a task that drops or repeats a
+            # program cannot agree with itself at every size
+            assert [row[0] for row in rows] == list(range(2_232)), kw
+        return out
+
+    default = results()
+    for chunk in (1, 7, 1_000):
+        monkeypatch.setattr(explorer, "_CHUNK", chunk)
+        assert results() == default, chunk
 
 
 def test_summary_matches_bruteforce_oracle():
