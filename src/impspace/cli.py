@@ -20,9 +20,11 @@ import hashlib
 import json
 import os
 import sys
+from contextlib import contextmanager
 from fractions import Fraction
 from pathlib import Path
 from time import perf_counter
+from typing import Callable, Iterator
 
 from . import __version__
 from .enumeration import (
@@ -74,27 +76,60 @@ def _dump_json(payload: dict) -> str:
     return json.dumps(payload, indent=2, sort_keys=True) + "\n"
 
 
-def _write_artifacts(out_dir: Path, files: dict[str, str],
-                     config: dict, command: str) -> Path:
+@contextmanager
+def _write_artifacts(out_dir: Path, config: dict,
+                     command: str) -> Iterator[Callable[[str, str], None]]:
+    """The one write path of artifacts: yields ``write(name, text)``.
+
+    Each call appends ``text`` to ``<name>.part`` in ``out_dir``: the
+    piece is encoded, written through to the file (so a pool forked
+    meanwhile inherits no buffered bytes) and fed to the file's running
+    SHA-256, so a file written in pieces is never held whole in memory.
+    When the block ends, every file is renamed into place and
+    ``manifest.json``, with each file's digest and size, is written the
+    same way and renamed last.  If the block raises, the ``.part`` files
+    are removed and the artifacts of an earlier run stay as they were.
+    """
     out_dir.mkdir(parents=True, exist_ok=True)
-    digests = {}
-    for name, text in files.items():
+    parts: dict[str, tuple] = {}  # name -> (open .part file, sha256)
+
+    def write(name: str, text: str) -> None:
+        if name not in parts:
+            parts[name] = (open(out_dir / f"{name}.part", "wb"),
+                           hashlib.sha256())
+        fh, digest = parts[name]
         data = text.encode()
-        (out_dir / name).write_bytes(data)
-        digests[name] = {
-            "sha256": hashlib.sha256(data).hexdigest(),
-            "bytes": len(data),
-        }
-    manifest = {
-        "tool": "impspace",
-        "version": __version__,
-        "command": command,
-        "config": config,
-        "files": digests,
-    }
-    path = out_dir / "manifest.json"
-    path.write_text(_dump_json(manifest))
-    return path
+        fh.write(data)
+        fh.flush()
+        digest.update(data)
+
+    try:
+        yield write
+        files = {name: {"sha256": digest.hexdigest(), "bytes": fh.tell()}
+                 for name, (fh, digest) in parts.items()}
+        write("manifest.json", _dump_json({
+            "tool": "impspace",
+            "version": __version__,
+            "command": command,
+            "config": config,
+            "files": files,
+        }))
+        for name, (fh, _) in parts.items():  # the manifest comes last
+            fh.close()
+            os.replace(out_dir / f"{name}.part", out_dir / name)
+    finally:
+        for name, (fh, _) in parts.items():
+            fh.close()
+            (out_dir / f"{name}.part").unlink(missing_ok=True)
+
+
+def _sha256_file(path: Path) -> str:
+    """SHA-256 of a file, read in fixed-size blocks."""
+    digest = hashlib.sha256()
+    with open(path, "rb") as fh:
+        while block := fh.read(1 << 20):
+            digest.update(block)
+    return digest.hexdigest()
 
 
 # ---------------------------------------------------------------------------
@@ -166,10 +201,9 @@ def _cmd_sample(args) -> int:
     if args.out is None:
         _emit(_dump_json(meta))
         return EXIT_OK
-    _write_artifacts(Path(args.out), {
-        "sample.csv": sample_to_csv(sample),
-        "sample.json": _dump_json({"config": config, **meta}),
-    }, config, "sample")
+    with _write_artifacts(Path(args.out), config, "sample") as write:
+        write("sample.csv", sample_to_csv(sample))
+        write("sample.json", _dump_json({"config": config, **meta}))
     _progress(f"threshold {threshold_from_sample(sample)}, "
               f"{sample.rejections} rejections")
     return EXIT_OK
@@ -243,23 +277,18 @@ def _cmd_sweep(args) -> int:
     }
     if args.records and args.out is None:
         raise ValueError("--records needs --out")
+    # sweep_summary checks these as well, but only after records.csv.part
+    # is open; a configuration that fails must create nothing
+    if args.budget < 1:
+        raise ValueError("budget must be at least 1")
+    if args.workers < 1:
+        raise ValueError("need at least one worker")
     started = perf_counter()
     _progress(f"sweeping {cumulative_count(args.max_length)} programs "
               f"(length <= {args.max_length}, budget {args.budget})")
-    # records.csv is collected as one string per chunk, rendered as the
-    # chunk arrives: keeping the row tuples would double the peak memory
-    records = ["position,length,halted,steps,output\n"]
-
-    def record_chunk(rows: list[tuple]) -> None:
-        records.append("".join(
-            f"{position},{length},{'true' if halted else 'false'},"
-            f"{steps},{output}\n"
-            for position, length, halted, steps, output in rows))
-
-    summary = sweep_summary(args.max_length, args.budget, args.workers,
-                            exact_budget=args.exact_budget,
-                            records=record_chunk if args.records else None)
     if args.out is None:
+        summary = sweep_summary(args.max_length, args.budget, args.workers,
+                                exact_budget=args.exact_budget)
         rows = [f"{'length':>6} {'halted':>12} {'not_halted':>12} "
                 f"{'halted%':>8} {'not_halted%':>12}"]
         for length, row in summary.census.items():
@@ -268,17 +297,28 @@ def _cmd_sweep(args) -> int:
         _emit("\n".join(rows))
         _swept(summary.total, started)
         return EXIT_OK
-    files = {
-        "census.json": _census_json(summary, config),
-        "histograms.json": _histograms_json(summary, config),
-    }
-    if args.format == "json":
-        files["complexity.json"] = _complexity_json(summary, config)
-    else:
-        files["complexity.csv"] = _complexity_csv(summary)
-    if args.records:
-        files["records.csv"] = "".join(records)
-    _write_artifacts(Path(args.out), files, config, "sweep")
+    with _write_artifacts(Path(args.out), config, "sweep") as write:
+        record_chunk = None
+        if args.records:
+            # each chunk's rows go to records.csv.part as the chunk
+            # arrives, so the parent holds one chunk of records at a time
+            write("records.csv", "position,length,halted,steps,output\n")
+
+            def record_chunk(rows: list[tuple]) -> None:
+                write("records.csv", "".join(
+                    f"{position},{length},{'true' if halted else 'false'},"
+                    f"{steps},{output}\n"
+                    for position, length, halted, steps, output in rows))
+
+        summary = sweep_summary(args.max_length, args.budget, args.workers,
+                                exact_budget=args.exact_budget,
+                                records=record_chunk)
+        write("census.json", _census_json(summary, config))
+        write("histograms.json", _histograms_json(summary, config))
+        if args.format == "json":
+            write("complexity.json", _complexity_json(summary, config))
+        else:
+            write("complexity.csv", _complexity_csv(summary))
     _swept(summary.total, started)
     return EXIT_OK
 
@@ -302,13 +342,12 @@ def _cmd_ctm(args) -> int:
     if args.out is None:
         _emit(body)
     else:
-        _write_artifacts(Path(args.out), {
-            "ctm.csv": body,
-            "ctm.json": _dump_json({
+        with _write_artifacts(Path(args.out), config, "ctm") as write:
+            write("ctm.csv", body)
+            write("ctm.json", _dump_json({
                 "config": config,
                 "total_halting": total,
-                "distinct_outputs": len(summary.complexity)}),
-        }, config, "ctm")
+                "distinct_outputs": len(summary.complexity)}))
     _swept(summary.total, started)
     return EXIT_OK
 
@@ -349,7 +388,7 @@ def _cmd_audit(args) -> int:
         if not path.exists():
             missing.append(name)
             continue
-        digest = hashlib.sha256(path.read_bytes()).hexdigest()
+        digest = _sha256_file(path)
         if not isinstance(info, dict) or digest != info.get("sha256"):
             mismatched.append(name)
     report: dict = {
@@ -366,12 +405,25 @@ def _cmd_audit(args) -> int:
             raise IntegrityError(
                 "manifest has no config.budget (a positive integer)")
         # the fields are unquoted digits, true/false and bits, so a plain
-        # split parses a row of any length; the first line is the header
-        with open(base / "records.csv", errors="replace") as fh:
-            rows = fh.readlines()[1:]
+        # split parses a row of any length.  The file streams twice, line
+        # by line as readlines() would split it: once to count the rows
+        # after the header, once to fetch the drawn ones
+        path = base / "records.csv"
+        with open(path, errors="replace") as fh:
+            count = max(sum(1 for _ in fh) - 1, 0)
         rng = SplitMix64(args.seed)
-        for _ in range(min(args.recheck, len(rows))):
-            row = rows[rng.randbelow(len(rows))].rstrip("\n").split(",")
+        draws = [rng.randbelow(count)
+                 for _ in range(min(args.recheck, count))]
+        wanted, rows = set(draws), {}
+        with open(path, errors="replace") as fh:
+            for index, line in enumerate(fh, -1):  # the header is -1
+                if len(rows) == len(wanted):
+                    break
+                if index in wanted:
+                    rows[index] = line
+        for index in draws:
+            # a row gone since the count cannot match any run
+            row = rows.get(index, "").rstrip("\n").split(",")
             rechecked += 1
             try:
                 position, length, halted, steps, output = row
@@ -499,8 +551,8 @@ def main(argv: list[str] | None = None) -> int:
         print(f"error[config]: {err}", file=sys.stderr)
         return EXIT_CONFIG
     except OSError as err:
-        print(f"error[io]: {err.filename or ''} {err.strerror or err}".strip(),
-              file=sys.stderr)
+        where = f"{err.filename} " if err.filename else ""
+        print(f"error[io]: {where}{err.strerror or err}", file=sys.stderr)
         return EXIT_IO
 
 

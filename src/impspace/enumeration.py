@@ -39,10 +39,10 @@ descends the grammar with one ``bisect_right`` over the offsets and one
 ``divmod`` of the rank per level.  Walks started at a rank find their
 first alternative and split by the same bisection.  Ranking climbs back
 up: each subtree returns its rank together with its length, and its
-parent adds the offsets of that length.  The climb (and the base
-numbering's) runs over an explicit stack, so any program the parser
-accepts ranks, however deeply nested.  No table or offset is built at
-import.
+parent adds the offsets of that length.  The descent, the climb and
+both directions of the base numbering run over an explicit stack, so
+any program the parser accepts ranks and unranks, however deeply
+nested.  No table or offset is built at import.
 """
 
 from __future__ import annotations
@@ -193,6 +193,67 @@ def _split_offsets(children: tuple[str, ...],
 # Fixed-length enumeration
 # ---------------------------------------------------------------------------
 
+def _unfold_tree(key: tuple, expand: Callable[[tuple], tuple]) -> Any:
+    """Build a tree top-down over an explicit stack, so that a rank of any
+    depth unranks without deep recursion; the inverse of ``_fold_tree``.
+
+    ``expand(key)`` returns ``(build, parts)``: the node at ``key`` is
+    ``build(*children)``, and ``parts`` lists its children in order, each
+    either a finished subtree or the key of one still to build.  Keys are
+    tuples and no subtree is, so the type tells them apart.
+    """
+    build, parts = expand(key)
+    parts.reverse()  # so that pop() takes the children in order
+    built: list[Any] = []
+    # the nodes above the current one: (build, children built, parts left)
+    stack: list[tuple[Callable[..., Any], list[Any], list[Any]]] = []
+    while True:
+        while parts:
+            part = parts.pop()
+            if type(part) is tuple:  # descend into the child
+                stack.append((build, built, parts))
+                build, parts = expand(part)
+                parts.reverse()
+                built = []
+            else:
+                built.append(part)
+        value = build(*built)
+        if not stack:
+            return value
+        build, built, parts = stack.pop()
+        built.append(value)
+
+
+def _expand_ranked(key: tuple[str, int, int]) -> tuple:
+    """One node of ``_unrank_in_length``: the rank picks an alternative,
+    and the rest of it splits into one rank per child, head first, until
+    a tabled tail of children ends the split."""
+    cat, length, k = key
+    starts, indices = _alt_offsets(cat, length)
+    i = bisect_right(starts, k) - 1
+    alt = _GRAMMAR[cat][indices[i]]
+    children, total, k = alt.children, length - alt.cost, k - starts[i]
+    parts = []
+    while children:
+        if len(children) == 1:
+            head_len, head_rank = total, k
+        else:
+            table = _child_tuples(children, total)
+            if table is not None:
+                parts.extend(table[k])
+                break
+            starts, head_lens, tails = _split_offsets(children, total)
+            i = bisect_right(starts, k) - 1
+            head_len = head_lens[i]
+            head_rank, k = divmod(k - starts[i], tails[i])
+        # a child in a tabled block is finished, any other is a key
+        table = _members(children[0], head_len)
+        parts.append((children[0], head_len, head_rank) if table is None
+                     else table[head_rank])
+        children, total = children[1:], total - head_len
+    return alt.build, parts
+
+
 def _unrank_in_length(cat: str, length: int, k: int) -> Any:
     if k < 0 or k >= _count(cat, length):
         raise PositionRangeError(
@@ -201,28 +262,7 @@ def _unrank_in_length(cat: str, length: int, k: int) -> Any:
     table = _members(cat, length)
     if table is not None:
         return table[k]
-    starts, indices = _alt_offsets(cat, length)
-    i = bisect_right(starts, k) - 1
-    alt = _GRAMMAR[cat][indices[i]]
-    if not alt.children:
-        return alt.build()
-    return alt.build(*_unrank_children(
-        alt.children, length - alt.cost, k - starts[i]))
-
-
-def _unrank_children(children: tuple[str, ...], total: int,
-                     k: int) -> tuple[Any, ...]:
-    if len(children) == 1:
-        return (_unrank_in_length(children[0], total, k),)
-    table = _child_tuples(children, total)
-    if table is not None:
-        return table[k]
-    starts, head_lens, tails = _split_offsets(children, total)
-    i = bisect_right(starts, k) - 1
-    head_len = head_lens[i]
-    head_rank, tail_rank = divmod(k - starts[i], tails[i])
-    return ((_unrank_in_length(children[0], head_len, head_rank),)
-            + _unrank_children(children[1:], total - head_len, tail_rank))
+    return _unfold_tree((cat, length, k), _expand_ranked)
 
 
 def _alt_of_type(alts: tuple[_Alt, ...],
@@ -522,16 +562,19 @@ _BASE_LEAVES: dict[str, tuple[_Alt, ...]] = {
 }
 
 
-def _unrank_base(cat: str, k: int) -> Any:
-    if cat in ("N", "X"):
-        return k
+def _expand_base(key: tuple[str, int]) -> tuple:
+    """One node of the base unranking: leaves come first, and a
+    composite's payload unpacks into one position per child; numerals
+    and registers are their own position."""
+    cat, k = key
     leaves = _BASE_LEAVES[cat]
     if k < len(leaves):
-        return leaves[k].build()
+        return leaves[k].build, []
     payload, which = divmod(k - len(leaves), len(_BASE_COMPOSITES[cat]))
     alt = _BASE_COMPOSITES[cat][which]
     parts = _unpack(payload, len(alt.children))
-    return alt.build(*(_unrank_base(c, p) for c, p in zip(alt.children, parts)))
+    return alt.build, [p if c in "NX" else (c, p)
+                       for c, p in zip(alt.children, parts)]
 
 
 def _join_base(cat: str, alt_index: int, parts: list[int]) -> int:
@@ -554,7 +597,7 @@ def unrank_base(k: int) -> Program:
     """
     if k < 0:
         raise PositionRangeError(f"position {k} is negative")
-    return _unrank_base("P", k)
+    return _unfold_tree(("P", k), _expand_base)
 
 
 def rank_base(p: Program) -> int:

@@ -256,8 +256,13 @@ def render_bool(b: Bool) -> str:
             return f"({render_arith(left)} = {render_arith(right)})"
         case Lt(left, right):
             return f"({render_arith(left)} < {render_arith(right)})"
-        case Not(operand):
-            return f"¬{render_bool(operand)}"
+        case Not():
+            # a chain of negations renders in a loop, so that any depth
+            # the parser accepts renders back
+            depth = 0
+            while isinstance(b, Not):
+                b, depth = b.operand, depth + 1
+            return "¬" * depth + render_bool(b)
         case Or(left, right):
             return f"({render_bool(left)} ∨ {render_bool(right)})"
         case And(left, right):

@@ -6,10 +6,15 @@ import re
 
 import pytest
 
-from impspace import explorer
+from impspace import cli, explorer
 from impspace.cli import (
-    EXIT_CONFIG, EXIT_INTEGRITY, EXIT_OK, EXIT_RANGE, EXIT_SYNTAX, main,
+    EXIT_CONFIG, EXIT_INTEGRITY, EXIT_IO, EXIT_OK, EXIT_RANGE, EXIT_SYNTAX,
+    main,
 )
+from impspace.enumeration import (
+    rank_base, rank_canonical, unrank_base, unrank_canonical,
+)
+from impspace.lang import SKIP, TRUE, Not, While, render
 
 
 def run_cli(capsys, *argv):
@@ -104,6 +109,28 @@ def test_rank_of_deeply_nested_program(capsys):
             ranks.append(int(out))
         # one more negation lengthens the program or grows its payload
         assert ranks == sorted(ranks) and len(ranks) >= 3
+
+
+def test_unrank_of_deeply_nested_program(capsys):
+    # built directly, since the parser's own limit depends on how deep
+    # the stack already is; unranking must not depend on it at all
+    for depth in (600, 990):
+        cond = TRUE
+        for _ in range(depth):
+            cond = Not(cond)
+        program = While(cond, SKIP)
+        text = "(while " + "¬" * depth + "true do skip)"
+        for rank, unrank, base in ((rank_canonical, unrank_canonical, ()),
+                                   (rank_base, unrank_base, ("--base",))):
+            position = rank(program)
+            code, out, err = run_cli(capsys, "unrank", str(position), *base)
+            assert "Traceback" not in err
+            assert code == EXIT_OK, (depth, base)
+            assert out == text + "\n", (depth, base)
+            # render is one-to-one, and unlike == it compares a tree
+            # this deep without recursing once per level
+            assert render(unrank(position)) == text, (depth, base)
+            assert rank(unrank(position)) == position, (depth, base)
 
 
 def test_range_error_exit(capsys):
@@ -376,6 +403,110 @@ def test_audit_rejects_unparsable_manifest(tmp_path, capsys):
             assert out == ""
 
 
+def _sign(out_dir, name):
+    """Record a file's current digest and size in the manifest."""
+    data = (out_dir / name).read_bytes()
+    manifest = json.loads((out_dir / "manifest.json").read_text())
+    manifest["files"][name] = {
+        "bytes": len(data), "sha256": hashlib.sha256(data).hexdigest()}
+    (out_dir / "manifest.json").write_text(json.dumps(manifest))
+
+
+def test_audit_recheck_draws_are_pinned(tmp_path, capsys):
+    # one row in three is wrong, so the failure count pins which rows
+    # the seeded draws fetch, whatever the line ends
+    out_dir = tmp_path / "sweep5"
+    code, _, _ = run_cli(capsys, "sweep", "--max-length", "5", "--records",
+                         "--out", str(out_dir))
+    assert code == EXIT_OK
+    header, *rows = (out_dir / "records.csv").read_text().splitlines()
+    for index in range(0, len(rows), 3):
+        fields = rows[index].split(",")
+        fields[3] = str(int(fields[3]) + 1)
+        rows[index] = ",".join(fields)
+    for text in ("\n".join([header, *rows]) + "\n",
+                 "\r\n".join([header, *rows]) + "\r\n",
+                 "\n".join([header, *rows])):
+        (out_dir / "records.csv").write_bytes(text.encode())
+        _sign(out_dir, "records.csv")
+        code, out, err = run_cli(capsys, "audit", str(out_dir),
+                                 "--recheck", "40", "--seed", "9")
+        assert code == EXIT_INTEGRITY, repr(text[-2:])
+        assert "error[integrity]" in err
+        report = json.loads(out)
+        assert report["mismatched"] == [] and report["missing"] == []
+        assert report["rechecked"] == 40
+        assert report["recheck_failures"] == 17, repr(text[-2:])
+
+
+def _csv(rows):
+    return "".join(f"{position},{length},{'true' if halted else 'false'},"
+                   f"{steps},{output}\n"
+                   for position, length, halted, steps, output in rows)
+
+
+def _observe_records(monkeypatch, observe):
+    """Make the CLI's sweep pass each chunk's rows to ``observe`` just
+    before its own records sink gets them."""
+    summary = explorer.sweep_summary
+
+    def observed_summary(*args, records=None, **kwargs):
+        def sink(rows):
+            observe(rows)
+            records(rows)
+        return summary(*args, records=sink if records else None, **kwargs)
+
+    monkeypatch.setattr(cli, "sweep_summary", observed_summary)
+
+
+def test_sweep_records_reach_the_disk_chunk_by_chunk(tmp_path, capsys,
+                                                     monkeypatch):
+    for workers in ("1", "2"):
+        out_dir = tmp_path / workers
+        part = out_dir / "records.csv.part"
+        written = ["position,length,halted,steps,output\n"]
+
+        def observe(rows):
+            assert part.read_text() == "".join(written)
+            written.append(_csv(rows))
+
+        _observe_records(monkeypatch, observe)
+        code, _, _ = run_cli(capsys, "sweep", "--max-length", "6",
+                             "--records", "--workers", workers,
+                             "--out", str(out_dir))
+        assert code == EXIT_OK
+        assert len(written) > 5, workers  # the sweep spans several chunks
+        assert not part.exists()
+        assert (out_dir / "records.csv").read_text() == "".join(written)
+
+
+def test_failed_sweep_leaves_nothing_behind(tmp_path, capsys, monkeypatch):
+    out_dir = tmp_path / "out"
+    code, _, err = run_cli(capsys, "sweep", "--max-length", "2", "--budget",
+                           "0", "--records", "--out", str(out_dir))
+    assert code == EXIT_CONFIG
+    assert "error[config]" in err
+    assert not out_dir.exists()
+
+    code, _, _ = run_cli(capsys, "sweep", "--max-length", "4", "--records",
+                         "--out", str(out_dir))
+    assert code == EXIT_OK
+    before = {p.name: p.read_bytes() for p in out_dir.iterdir()}
+    chunks = []
+
+    def disk_full(rows):
+        chunks.append(rows)
+        if len(chunks) == 2:
+            raise OSError("No space left on device")
+
+    _observe_records(monkeypatch, disk_full)
+    code, _, err = run_cli(capsys, "sweep", "--max-length", "5", "--records",
+                           "--out", str(out_dir))
+    assert code == EXIT_IO
+    assert "error[io]: No space left on device" in err
+    assert {p.name: p.read_bytes() for p in out_dir.iterdir()} == before
+
+
 def _count_calls(monkeypatch, name):
     calls = []
     original = getattr(explorer, name)
@@ -492,3 +623,15 @@ def test_artifact_digests_are_pinned(tmp_path, capsys):
         files = json.loads((out_dir / "manifest.json").read_text())["files"]
         assert {name: info["sha256"] for name, info in files.items()} == \
             want, argv
+
+
+def test_manifest_lists_exactly_the_written_files(tmp_path, capsys):
+    for i, argv in enumerate(PINNED_DIGESTS):
+        out_dir = tmp_path / str(i)
+        code, _, _ = run_cli(capsys, *argv, "--out", str(out_dir))
+        assert code == EXIT_OK, argv
+        files = json.loads((out_dir / "manifest.json").read_text())["files"]
+        assert {p.name for p in out_dir.iterdir()} == \
+            {*files, "manifest.json"}, argv
+        for name, info in files.items():
+            assert info["bytes"] == (out_dir / name).stat().st_size, name
