@@ -384,6 +384,11 @@ def _cmd_audit(args) -> int:
         raise IntegrityError("manifest has no files")
     mismatched, missing = [], []
     for name, info in files.items():
+        # an artifact is a plain file beside the manifest; any other name
+        # would read outside the directory, so it counts unopened
+        if name in ("", ".", "..") or "/" in name or "\\" in name:
+            mismatched.append(name)
+            continue
         path = base / name
         if not path.exists():
             missing.append(name)

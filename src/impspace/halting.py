@@ -21,9 +21,6 @@ from dataclasses import dataclass
 from fractions import Fraction
 from math import exp
 
-import mpmath
-from mpmath import iv
-
 from .enumeration import cumulative_count, unrank_canonical
 from .lang import program_length
 from .parallel import ordered_map
@@ -62,6 +59,9 @@ def sample_size(lam: Fraction | str | float,
     ceiling always exists; precision is raised until the enclosing
     interval pins down a single integer.
     """
+    import mpmath  # only here: it weighs more than the rest of the package
+    from mpmath import iv
+
     lam = _to_fraction(lam)
     delta = _to_fraction(delta)
     if not 0 < lam < 1:

@@ -10,6 +10,11 @@ fully parenthesized, so every valid text has exactly one syntax tree:
     B ::= true | false | (A = A) | (A < A) | ¬B | (B ∨ B) | (B ∧ B)
     N ::= decimal numeral without leading zeros
 
+Syntax-tree nodes are frozen slotted dataclasses: immutable, hashable,
+compared by type and fields.  Their constructor writes each slot through
+its member descriptor instead of calling ``object.__setattr__`` per
+field, because a sweep builds a node for most programs it runs.
+
 The module also provides the bijection between natural numbers and finite
 bitstrings in canonical order (sorted by length, then lexicographically),
 which is how register contents are turned into program output.
@@ -25,6 +30,27 @@ from dataclasses import dataclass
 # Abstract syntax
 # ---------------------------------------------------------------------------
 
+def _slot_init(cls):
+    """Give a frozen slotted dataclass an ``__init__`` that writes each slot
+    through its member descriptor.
+
+    The generated one goes through ``object.__setattr__`` per field (the
+    class's own ``__setattr__`` refuses); the descriptor's ``__set__``
+    skips that lookup.  Parameter names and order stay those of the
+    fields, and everything else the dataclass generated stays as it is.
+    """
+    names = cls.__match_args__
+    namespace = {f"_set_{name}": getattr(cls, name).__set__ for name in names}
+    body = "".join(f"\n    _set_{name}(self, {name})" for name in names)
+    exec(f"def __init__(self, {', '.join(names)}):{body}", namespace)
+    init = namespace["__init__"]
+    init.__qualname__ = f"{cls.__qualname__}.__init__"
+    init.__module__ = cls.__module__
+    cls.__init__ = init
+    return cls
+
+
+@_slot_init
 @dataclass(frozen=True, slots=True)
 class Num:
     """Numeral literal (nonnegative, canonical decimal form)."""
@@ -32,6 +58,7 @@ class Num:
     value: int
 
 
+@_slot_init
 @dataclass(frozen=True, slots=True)
 class Reg:
     """Register reference ``x[index]`` used as an arithmetic expression."""
@@ -39,12 +66,14 @@ class Reg:
     index: int
 
 
+@_slot_init
 @dataclass(frozen=True, slots=True)
 class Add:
     left: "Arith"
     right: "Arith"
 
 
+@_slot_init
 @dataclass(frozen=True, slots=True)
 class Sub:
     """Truncated subtraction: values below zero clamp to zero."""
@@ -53,6 +82,7 @@ class Sub:
     right: "Arith"
 
 
+@_slot_init
 @dataclass(frozen=True, slots=True)
 class Mul:
     left: "Arith"
@@ -72,29 +102,34 @@ class FalseLit:
     pass
 
 
+@_slot_init
 @dataclass(frozen=True, slots=True)
 class Eq:
     left: Arith
     right: Arith
 
 
+@_slot_init
 @dataclass(frozen=True, slots=True)
 class Lt:
     left: Arith
     right: Arith
 
 
+@_slot_init
 @dataclass(frozen=True, slots=True)
 class Not:
     operand: "Bool"
 
 
+@_slot_init
 @dataclass(frozen=True, slots=True)
 class Or:
     left: "Bool"
     right: "Bool"
 
 
+@_slot_init
 @dataclass(frozen=True, slots=True)
 class And:
     left: "Bool"
@@ -109,6 +144,7 @@ class Skip:
     pass
 
 
+@_slot_init
 @dataclass(frozen=True, slots=True)
 class Assign:
     """``x[target] := value``; the target is a register index."""
@@ -117,12 +153,14 @@ class Assign:
     value: Arith
 
 
+@_slot_init
 @dataclass(frozen=True, slots=True)
 class Seq:
     first: "Program"
     second: "Program"
 
 
+@_slot_init
 @dataclass(frozen=True, slots=True)
 class If:
     cond: Bool
@@ -130,6 +168,7 @@ class If:
     orelse: "Program"
 
 
+@_slot_init
 @dataclass(frozen=True, slots=True)
 class While:
     cond: Bool

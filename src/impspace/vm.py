@@ -19,13 +19,17 @@ A run builds its per-node cost cache and its set of configurations at
 the first ``while`` it meets.  Before a loop no statement repeats, so a
 loop-free run (most of the program space) evaluates each cost once and
 keeps neither structure.
+
+``run`` and ``classify`` answer with a ``RunResult``, a named tuple
+``(halted, steps, store)`` built by the C tuple constructor, so making
+one runs no Python frame.
 """
 
 from __future__ import annotations
 
 import enum
 import math
-from dataclasses import dataclass
+from typing import NamedTuple
 
 from .lang import (
     Add, Arith, Assign, Bool, Eq, FalseLit, If, Lt, Not, Num, Or, Program,
@@ -33,9 +37,12 @@ from .lang import (
 )
 
 
-@dataclass(frozen=True, eq=True, slots=True)
-class RunResult:
-    """Outcome of one metered execution; not hashable (the store is a dict)."""
+class RunResult(NamedTuple):
+    """Outcome of one metered execution; not hashable (the store is a dict).
+
+    A named tuple: it unpacks as ``(halted, steps, store)`` and compares
+    equal to that plain tuple.
+    """
 
     halted: bool
     steps: int
@@ -47,6 +54,10 @@ class RunResult:
         if not self.halted:
             return ""
         return output_string(self.store)
+
+
+# builds a result in C, with no Python frame per run
+_new_result = tuple.__new__
 
 
 def output_string(store: dict[int, int]) -> str:
@@ -207,7 +218,7 @@ def run(program: Program, budget: int) -> RunResult:
     if budget < 0:
         raise ValueError("budget must be nonnegative")
     halted, steps, store, _ = _execute(program, budget, None)
-    return RunResult(halted, steps, store)
+    return _new_result(RunResult, (halted, steps, store))
 
 
 def classify(program: Program, budget: int) -> RunResult:
@@ -226,7 +237,7 @@ def classify(program: Program, budget: int) -> RunResult:
     if budget < 0:
         raise ValueError("budget must be nonnegative")
     halted, steps, store, _ = _execute(program, budget, budget + 1)
-    return RunResult(halted, steps, store)
+    return _new_result(RunResult, (halted, steps, store))
 
 
 def detect_divergence(program: Program,

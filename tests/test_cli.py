@@ -322,6 +322,31 @@ def test_audit_rejects_incomplete_manifest(tmp_path, capsys):
     assert "error[integrity]: manifest has no config.budget" in err
 
 
+def test_audit_reads_only_files_beside_the_manifest(tmp_path, capsys,
+                                                    monkeypatch):
+    secret = tmp_path / "secret"
+    secret.write_text("not an artifact")
+    digest = hashlib.sha256(secret.read_bytes()).hexdigest()
+    out_dir = tmp_path / "d"
+    out_dir.mkdir()
+    (out_dir / "a.txt").write_text("a")
+    outside = ["../secret", str(secret), "", ".", "..", "sub/a.txt",
+               "..\\secret"]
+    files = {name: {"sha256": digest} for name in outside}
+    files["a.txt"] = {"sha256": hashlib.sha256(b"a").hexdigest()}
+    (out_dir / "manifest.json").write_text(json.dumps({"files": files}))
+    opened = []
+    hash_file = cli._sha256_file
+    monkeypatch.setattr(cli, "_sha256_file",
+                        lambda path: opened.append(path) or hash_file(path))
+    code, out, err = run_cli(capsys, "audit", str(out_dir))
+    assert code == EXIT_INTEGRITY
+    assert "error[integrity]" in err
+    report = json.loads(out)
+    assert report == {"verified": 1, "mismatched": outside, "missing": []}
+    assert opened == [out_dir / "a.txt"]
+
+
 def test_audit_counts_malformed_rows_as_recheck_failures(tmp_path, capsys):
     out_dir = tmp_path / "sweep3"
     run_cli(capsys, "sweep", "--max-length", "3", "--records",

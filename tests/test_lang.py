@@ -1,9 +1,13 @@
 """Syntax, length metric, and codec tests for impspace.lang."""
 
+import dataclasses
+import inspect
+import pickle
 import random
 
 import pytest
 
+from impspace import lang
 from impspace.lang import (
     Add, And, Assign, Eq, FALSE, If, ImpSyntaxError, Lt, Mul, Not, Num, Or,
     Reg, SKIP, Seq, Sub, TRUE, While,
@@ -12,6 +16,74 @@ from impspace.lang import (
 )
 
 import bruteforce
+
+
+# ---------------------------------------------------------------------------
+# Syntax-tree nodes
+# ---------------------------------------------------------------------------
+
+# every node class with fields: (its fields, the same fields with the last
+# one changed)
+NODES = {
+    Num: ((3,), (4,)),
+    Reg: ((3,), (4,)),
+    Add: ((Num(1), Reg(0)), (Num(1), Reg(1))),
+    Sub: ((Num(1), Reg(0)), (Num(1), Reg(1))),
+    Mul: ((Num(1), Reg(0)), (Num(1), Reg(1))),
+    Eq: ((Num(1), Reg(0)), (Num(1), Num(0))),
+    Lt: ((Num(1), Reg(0)), (Num(1), Num(0))),
+    Not: ((TRUE,), (FALSE,)),
+    Or: ((TRUE, FALSE), (TRUE, TRUE)),
+    And: ((TRUE, FALSE), (TRUE, TRUE)),
+    Assign: ((0, Num(5)), (0, Num(6))),
+    Seq: ((SKIP, Assign(0, Num(1))), (SKIP, SKIP)),
+    If: ((TRUE, SKIP, Assign(0, Num(1))), (TRUE, SKIP, SKIP)),
+    While: ((FALSE, SKIP), (FALSE, Assign(0, Num(1)))),
+}
+
+
+def test_node_table_covers_every_class_with_fields():
+    classes = {c for c in vars(lang).values()
+               if dataclasses.is_dataclass(c) and isinstance(c, type)
+               and dataclasses.fields(c)}
+    assert classes == set(NODES)
+
+
+@pytest.mark.parametrize("cls", NODES, ids=lambda c: c.__name__)
+def test_node_construction_contract(cls):
+    args, other = NODES[cls]
+    names = [f.name for f in dataclasses.fields(cls)]
+    assert list(cls.__match_args__) == names
+    assert list(inspect.signature(cls).parameters) == names
+    node = cls(*args)
+    assert cls(**dict(zip(names, args))) == node
+    assert tuple(getattr(node, name) for name in names) == args
+    assert node == cls(*args) and hash(node) == hash(cls(*args))
+    assert node != cls(*other)
+    assert repr(node) == f"{cls.__name__}(" + ", ".join(
+        f"{name}={value!r}" for name, value in zip(names, args)) + ")"
+    for proto in range(pickle.HIGHEST_PROTOCOL + 1):
+        again = pickle.loads(pickle.dumps(node, proto))
+        assert type(again) is cls and again == node
+    for name in names:
+        with pytest.raises(dataclasses.FrozenInstanceError):
+            setattr(node, name, args[0])
+        with pytest.raises(dataclasses.FrozenInstanceError):
+            delattr(node, name)
+    with pytest.raises(TypeError):
+        cls(*args[:-1])
+    with pytest.raises(TypeError):
+        cls(*args, args[0])
+    with pytest.raises(TypeError):
+        cls(*args, **{names[0]: args[0]})
+
+
+def test_nodes_compare_by_type_and_fields():
+    assert Num(3) != Reg(3)
+    assert Add(Num(1), Num(2)) != Sub(Num(1), Num(2))
+    assert Add(Num(1), Num(2)) != Add(Num(2), Num(1))
+    assert Or(TRUE, FALSE) != And(TRUE, FALSE)
+    assert len({Num(3), Num(3), Reg(3)}) == 2
 
 
 # ---------------------------------------------------------------------------

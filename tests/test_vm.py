@@ -6,11 +6,33 @@ import pytest
 
 from impspace.lang import Assign, Num, SKIP, Seq, parse
 from impspace.vm import (
-    Divergence, classify, detect_divergence, eval_arith,
+    Divergence, RunResult, classify, detect_divergence, eval_arith,
     expression_cost, output_string, run,
 )
 
 import bruteforce
+
+
+def test_run_result_fields():
+    for execute in (run, classify):
+        result = execute(parse("x[0] := 5"), 100)
+        assert (result.halted, result.steps, result.store) == (True, 2, {0: 5})
+        assert result.output == "10"
+        assert repr(result) == "RunResult(halted=True, steps=2, store={0: 5})"
+        with pytest.raises(AttributeError):
+            result.halted = False
+        with pytest.raises(TypeError):
+            hash(result)
+    stuck = run(parse("(while true do x[0] := 1)"), 7)
+    assert (stuck.halted, stuck.steps, stuck.output) == (False, 7, "")
+
+
+def test_run_result_is_a_named_tuple():
+    result = run(parse("x[0] := 5"), 100)
+    halted, steps, store = result
+    assert (halted, steps, store) == (True, 2, {0: 5})
+    assert result == (True, 2, {0: 5})
+    assert result == RunResult(True, 2, {0: 5})
 
 
 def test_worked_example():
