@@ -20,8 +20,9 @@ import hashlib
 import json
 import os
 import sys
-from contextlib import contextmanager
+from contextlib import contextmanager, suppress
 from fractions import Fraction
+from functools import partial
 from pathlib import Path
 from time import perf_counter
 from typing import Callable, Iterator
@@ -88,9 +89,11 @@ def _write_artifacts(out_dir: Path, config: dict,
     When the block ends, every file is renamed into place and
     ``manifest.json``, with each file's digest and size, is written the
     same way and renamed last.  If the block raises, the ``.part`` files
-    are removed and the artifacts of an earlier run stay as they were.
+    are removed, then each directory this call created, if empty, and the
+    artifacts of an earlier run stay as they were.
     """
-    out_dir.mkdir(parents=True, exist_ok=True)
+    # deepest first, so that each one is empty when its turn comes
+    fresh = [d for d in (out_dir, *out_dir.parents) if not d.exists()]
     parts: dict[str, tuple] = {}  # name -> (open .part file, sha256)
 
     def write(name: str, text: str) -> None:
@@ -104,6 +107,7 @@ def _write_artifacts(out_dir: Path, config: dict,
         digest.update(data)
 
     try:
+        out_dir.mkdir(parents=True, exist_ok=True)
         yield write
         files = {name: {"sha256": digest.hexdigest(), "bytes": fh.tell()}
                  for name, (fh, digest) in parts.items()}
@@ -117,10 +121,14 @@ def _write_artifacts(out_dir: Path, config: dict,
         for name, (fh, _) in parts.items():  # the manifest comes last
             fh.close()
             os.replace(out_dir / f"{name}.part", out_dir / name)
+        fresh = []  # the artifacts are in place: every directory stays
     finally:
         for name, (fh, _) in parts.items():
             fh.close()
             (out_dir / f"{name}.part").unlink(missing_ok=True)
+        for directory in fresh:
+            with suppress(OSError):  # not empty, or never made: left as is
+                directory.rmdir()
 
 
 def _sha256_file(path: Path) -> str:
@@ -300,16 +308,11 @@ def _cmd_sweep(args) -> int:
     with _write_artifacts(Path(args.out), config, "sweep") as write:
         record_chunk = None
         if args.records:
-            # each chunk's rows go to records.csv.part as the chunk
-            # arrives, so the parent holds one chunk of records at a time
+            # each chunk's lines, rendered in the worker, go to
+            # records.csv.part as the chunk arrives, so the parent holds
+            # one chunk of records at a time
             write("records.csv", "position,length,halted,steps,output\n")
-
-            def record_chunk(rows: list[tuple]) -> None:
-                write("records.csv", "".join(
-                    f"{position},{length},{'true' if halted else 'false'},"
-                    f"{steps},{output}\n"
-                    for position, length, halted, steps, output in rows))
-
+            record_chunk = partial(write, "records.csv")
         summary = sweep_summary(args.max_length, args.budget, args.workers,
                                 exact_budget=args.exact_budget,
                                 records=record_chunk)

@@ -8,8 +8,9 @@ steps, outputs) and folded once by ``SummaryFold.of_slice``; parts merge
 in any order.  The same fold turns a record stream into the statistics,
 in sorted batches of ``_CHUNK`` records.  A sweep that needs both the
 rows and the statistics (``sweep_summary`` with a ``records`` sink) gets
-them from one pass: each task hands back its rows with its fold.  The
-statistics are:
+them from one pass: each task renders its rows as ``records.csv`` lines
+in the worker and hands that text back with its fold, which crosses the
+process boundary as flat columns.  The statistics are:
 
 * the halting census per length;
 * the shortest-producer table: for each output string, the minimal
@@ -29,7 +30,7 @@ from __future__ import annotations
 from collections import Counter
 from dataclasses import dataclass
 from fractions import Fraction
-from itertools import compress, groupby, islice, repeat
+from itertools import compress, groupby, islice
 from math import log2
 from operator import attrgetter
 from typing import Callable, Iterable, Iterator, Sequence
@@ -129,6 +130,18 @@ class SummaryFold:
                           for out, n in Counter(outputs).items()}
         return fold
 
+    def __getstate__(self):
+        # the producers as flat columns pickle smaller and load faster
+        entries = self.producers.values()
+        return (self.halted, self.not_halted, self.steps_hist,
+                self.output_hist, list(self.producers),
+                *([entry[i] for entry in entries] for i in range(3)))
+
+    def __setstate__(self, state):
+        (self.halted, self.not_halted, self.steps_hist, self.output_hist,
+         outputs, *columns) = state
+        self.producers = dict(zip(outputs, map(list, zip(*columns))))
+
     def merge(self, other: SummaryFold) -> SummaryFold:
         self.halted.update(other.halted)
         self.not_halted.update(other.not_halted)
@@ -189,9 +202,9 @@ class SweepSummary:
 
 # Programs per sweep task, the one unit of work.  At length 7 on 2 vCPUs
 # the throughput is flat within noise from 1,024 to 16,384.  Smaller
-# chunks send more folds through the pool (3.4 MB pickled at 4,096, 5.3 MB
+# chunks send more folds through the pool (2.9 MB pickled at 4,096, 4.5 MB
 # at 1,024); larger ones raise the peak RSS of ``sweep --records`` at 2
-# workers (91 MB at 4,096, 103 MB at 16,384).
+# workers (parent/largest worker 27/18 MB at 4,096, 33/22 MB at 16,384).
 _CHUNK = 4096
 
 
@@ -237,13 +250,17 @@ def _summary_task(task) -> SummaryFold:
     return _sweep_chunk(task)[0]
 
 
-def _record_task(task) -> tuple[SummaryFold, list[tuple]]:
-    """Fold one task and keep its ``(position, length, halted, steps,
-    output)`` rows: ``(fold, rows)``."""
+def _record_task(task) -> tuple[SummaryFold, str]:
+    """Fold one task and render its rows, in the worker that ran them, as
+    the ``records.csv`` lines ``position,length,halted,steps,output``:
+    ``(fold, text)``."""
     length, _, count, base = task[:4]
     fold, halted, steps, outputs = _sweep_chunk(task)
-    return fold, list(zip(range(base, base + count), repeat(length), halted,
-                          steps, outputs))
+    tags = (f",{length},false,", f",{length},true,")
+    return fold, "".join([f"{position}{tags[h]}{s},{output}\n"
+                          for position, h, s, output
+                          in zip(range(base, base + count), halted, steps,
+                                 outputs)])
 
 
 def sweep(max_length: int, budget: int, workers: int = 1,
@@ -255,14 +272,16 @@ def sweep(max_length: int, budget: int, workers: int = 1,
     every non-halting program (slower, used for cross-validation).
     """
     tasks = _plan(max_length, budget, workers, exact_budget)
-    for _, rows in ordered_map(_record_task, tasks, workers):
-        for row in rows:
-            yield RunRecord(*row)
+    for _, text in ordered_map(_record_task, tasks, workers):
+        for line in text.splitlines():
+            position, length, halted, steps, output = line.split(",")
+            yield RunRecord(int(position), int(length), halted == "true",
+                            int(steps), output)
 
 
 def sweep_summary(max_length: int, budget: int, workers: int = 1,
                   exact_budget: bool = False,
-                  records: Callable[[list[tuple]], None] | None = None,
+                  records: Callable[[str], None] | None = None,
                   ) -> SweepSummary:
     """Sweep with the fold done inside the workers, the parts merged here.
 
@@ -271,9 +290,10 @@ def sweep_summary(max_length: int, budget: int, workers: int = 1,
     record stream, in constant memory per distinct output.
 
     ``records``, if given, also receives the rows of the same pass: it is
-    called once per chunk, in position order, with a list of
-    ``(position, length, halted, steps, output)`` tuples, so that every
-    program runs once whether or not its row is kept.
+    called once per task, in position order, with the text of that task's
+    ``records.csv`` lines (``position,length,halted,steps,output``, each
+    ending in a newline), rendered in the worker that ran the task, so
+    that every program runs once whether or not its row is kept.
     """
     tasks = _plan(max_length, budget, workers, exact_budget)
     fold = SummaryFold()
@@ -281,9 +301,9 @@ def sweep_summary(max_length: int, budget: int, workers: int = 1,
         for part in ordered_map(_summary_task, tasks, workers):
             fold.merge(part)
     else:
-        for part, rows in ordered_map(_record_task, tasks, workers):
+        for part, text in ordered_map(_record_task, tasks, workers):
             fold.merge(part)
-            records(rows)
+            records(text)
     return fold.summary(max_length, budget)
 
 

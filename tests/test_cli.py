@@ -1,5 +1,6 @@
 """End-to-end CLI tests driven through main() with captured streams."""
 
+import errno
 import hashlib
 import json
 import re
@@ -12,9 +13,12 @@ from impspace.cli import (
     main,
 )
 from impspace.enumeration import (
-    rank_base, rank_canonical, unrank_base, unrank_canonical,
+    cumulative_count, rank_base, rank_canonical, unrank_base,
+    unrank_canonical,
 )
-from impspace.lang import SKIP, TRUE, Not, While, render
+from impspace.explorer import RunRecord
+from impspace.lang import SKIP, TRUE, Not, While, program_length, render
+from impspace.vm import classify
 
 
 def run_cli(capsys, *argv):
@@ -471,14 +475,14 @@ def _csv(rows):
 
 
 def _observe_records(monkeypatch, observe):
-    """Make the CLI's sweep pass each chunk's rows to ``observe`` just
-    before its own records sink gets them."""
+    """Make the CLI's sweep pass each chunk's text to ``observe`` just
+    before its own records sink gets it."""
     summary = explorer.sweep_summary
 
     def observed_summary(*args, records=None, **kwargs):
-        def sink(rows):
-            observe(rows)
-            records(rows)
+        def sink(text):
+            observe(text)
+            records(text)
         return summary(*args, records=sink if records else None, **kwargs)
 
     monkeypatch.setattr(cli, "sweep_summary", observed_summary)
@@ -491,9 +495,9 @@ def test_sweep_records_reach_the_disk_chunk_by_chunk(tmp_path, capsys,
         part = out_dir / "records.csv.part"
         written = ["position,length,halted,steps,output\n"]
 
-        def observe(rows):
+        def observe(text):
             assert part.read_text() == "".join(written)
-            written.append(_csv(rows))
+            written.append(text)
 
         _observe_records(monkeypatch, observe)
         code, _, _ = run_cli(capsys, "sweep", "--max-length", "6",
@@ -519,8 +523,8 @@ def test_failed_sweep_leaves_nothing_behind(tmp_path, capsys, monkeypatch):
     before = {p.name: p.read_bytes() for p in out_dir.iterdir()}
     chunks = []
 
-    def disk_full(rows):
-        chunks.append(rows)
+    def disk_full(text):
+        chunks.append(text)
         if len(chunks) == 2:
             raise OSError("No space left on device")
 
@@ -530,6 +534,45 @@ def test_failed_sweep_leaves_nothing_behind(tmp_path, capsys, monkeypatch):
     assert code == EXIT_IO
     assert "error[io]: No space left on device" in err
     assert {p.name: p.read_bytes() for p in out_dir.iterdir()} == before
+
+
+def test_failed_sweep_removes_only_the_directories_it_made(tmp_path, capsys,
+                                                          monkeypatch):
+    def disk_full(text):
+        raise OSError(errno.ENOSPC, "No space left on device")
+
+    def sweep_into(out_dir):  # two workers: the pool stops early too
+        code, _, err = run_cli(capsys, "sweep", "--max-length", "4",
+                               "--records", "--workers", "2",
+                               "--out", str(out_dir))
+        assert code == EXIT_IO
+        assert "error[io]: No space left on device" in err
+
+    # a name too long fails the mkdir itself, after "d" was made for it
+    code, _, err = run_cli(capsys, "sweep", "--max-length", "4", "--out",
+                           str(tmp_path / "d" / ("n" * 300)))
+    assert code == EXIT_IO and "error[io]" in err
+    assert list(tmp_path.iterdir()) == []
+
+    _observe_records(monkeypatch, disk_full)
+    sweep_into(tmp_path / "d" / "a" / "b")  # three fresh directories
+    assert list(tmp_path.iterdir()) == []
+
+    kept = tmp_path / "kept"  # was there before: stays, empty
+    kept.mkdir()
+    for out_dir in (kept, kept / "x" / "y"):
+        sweep_into(out_dir)
+        assert list(tmp_path.iterdir()) == [kept]
+        assert list(kept.iterdir()) == [], out_dir
+
+    def foreign_file(text):  # another writer fills a fresh parent meanwhile
+        (tmp_path / "d" / "a" / "theirs").write_text("")
+        disk_full(text)
+
+    _observe_records(monkeypatch, foreign_file)
+    sweep_into(tmp_path / "d" / "a" / "b")
+    assert list((tmp_path / "d" / "a").iterdir()) == \
+        [tmp_path / "d" / "a" / "theirs"]
 
 
 def _count_calls(monkeypatch, name):
@@ -561,9 +604,18 @@ def test_sweep_records_runs_each_program_once(tmp_path, capsys, monkeypatch):
 
 
 def test_sweep_records_match_library_stream(tmp_path, capsys):
-    want = "position,length,halted,steps,output\n" + "".join(
-        f"{r.position},{r.length},{'true' if r.halted else 'false'},"
-        f"{r.steps},{r.output}\n" for r in explorer.sweep(5, 10_000))
+    # rows built one program at a time, apart from the sweep's tasks and
+    # their rendering, which the CLI and sweep() share
+    rows = []
+    for position in range(cumulative_count(5)):
+        program = unrank_canonical(position)
+        result = classify(program, 10_000)
+        rows.append((position, program_length(program), result.halted,
+                     result.steps, result.output))
+    for workers in (1, 2):
+        assert list(explorer.sweep(5, 10_000, workers)) == \
+            [RunRecord(*row) for row in rows], workers
+    want = "position,length,halted,steps,output\n" + _csv(rows)
     for workers in ("1", "2"):
         out_dir = tmp_path / workers
         code, _, _ = run_cli(capsys, "sweep", "--max-length", "5",

@@ -1,5 +1,6 @@
 """Sweep, census, complexity-table, family, and histogram tests."""
 
+import pickle
 import random
 from fractions import Fraction
 
@@ -151,19 +152,21 @@ def test_fold_merges_parts_in_any_order(monkeypatch):
 
 def test_chunk_size_changes_nothing(monkeypatch):
     # the sweep's one unit of work is a task of _CHUNK programs; whatever
-    # its size, the summary, the record stream and the sink's rows agree
+    # its size, the summary, the record stream and the sink's text agree
     modes = [{"workers": 1}, {"workers": 2}, {"exact_budget": True}]
 
     def results():
         out = []
         for kw in modes:
-            rows = []
-            out.append((sweep_summary(5, 10_000, records=rows.extend, **kw),
+            chunks = []
+            out.append((sweep_summary(5, 10_000, records=chunks.append, **kw),
                         sweep_summary(5, 10_000, **kw),
-                        list(sweep(5, 10_000, **kw)), rows))
+                        list(sweep(5, 10_000, **kw)), "".join(chunks)))
             # every position once, so a task that drops or repeats a
             # program cannot agree with itself at every size
-            assert [row[0] for row in rows] == list(range(2_232)), kw
+            lines = "".join(chunks).splitlines()
+            assert [int(line.split(",")[0]) for line in lines] == \
+                list(range(2_232)), kw
         return out
 
     default = results()
@@ -199,6 +202,33 @@ def test_summary_parallel_merge_is_deterministic():
     a = sweep_summary(5, 10_000, workers=1)
     b = sweep_summary(5, 10_000, workers=4)
     assert a == b
+
+
+def _fields(fold):
+    return [getattr(fold, name) for name in SummaryFold.__slots__]
+
+
+def test_fold_pickle_round_trips_at_every_protocol():
+    # a pool sends each task's fold across the process boundary pickled
+    fold = SummaryFold()
+    for task in explorer._plan(5, 10_000, 1, False):
+        fold.merge(explorer._summary_task(task))
+    assert len({best for best, _, _ in fold.producers.values()}) > 1
+    for protocol in range(pickle.HIGHEST_PROTOCOL + 1):
+        for original in (fold, SummaryFold()):
+            again = pickle.loads(pickle.dumps(original, protocol))
+            assert _fields(again) == _fields(original), protocol
+
+
+def test_pickled_task_folds_merge_to_the_sweep():
+    parts = [pickle.loads(pickle.dumps(explorer._summary_task(task)))
+             for task in explorer._plan(6, 10_000, 1, False)]
+    merged = SummaryFold()
+    for part in reversed(parts):
+        merged.merge(part)
+    whole = sweep_summary(6, 10_000)
+    assert merged.summary(6, 10_000) == whole
+    assert sweep_summary(6, 10_000, workers=2) == whole
 
 
 # ---------------------------------------------------------------------------
