@@ -31,8 +31,11 @@ every member of that (category, length), or every child tuple of that
 module-level table.  Only blocks of at most ``_TABLE_CAP`` (4,096)
 entries get a table, which keeps the tables to a few megabytes; walks
 over larger blocks stream their top layers and pair the shared subtrees
-from the tables beneath.  Shared subtrees are ordinary immutable nodes,
-so a program may hold one object at two places.
+from the tables beneath.  Such a walk chains one C iterator per grammar
+alternative, or per value of a split's first child, so a Python
+generator resumes once per such run, not once per tree.  Shared
+subtrees are ordinary immutable nodes, so a program may hold one object
+at two places.
 
 Unranking inside a tabled block is a tuple index; outside one it
 descends the grammar with one ``bisect_right`` over the offsets and one
@@ -51,7 +54,7 @@ import math
 from bisect import bisect_right
 from dataclasses import dataclass
 from functools import cache
-from itertools import islice, repeat, starmap
+from itertools import chain, islice, repeat, starmap
 from operator import add
 from typing import Any, Callable, Iterator, Sequence
 
@@ -357,10 +360,11 @@ def _iter_in_length(cat: str, length: int, start: int = 0) -> Iterator[Any]:
     table = _members(cat, length)
     if table is not None:
         return iter(table[start:])
-    return _stream_members(cat, length, start)
+    return chain.from_iterable(_alt_runs(cat, length, start))
 
 
-def _stream_members(cat: str, length: int, start: int) -> Iterator[Any]:
+def _alt_runs(cat: str, length: int, start: int) -> Iterator[Iterator[Any]]:
+    """One iterator per alternative, over its members from ``start`` on."""
     starts, indices = _alt_offsets(cat, length)
     if start >= starts[-1]:
         return
@@ -369,10 +373,10 @@ def _stream_members(cat: str, length: int, start: int) -> Iterator[Any]:
     for i in indices[first:]:
         alt = _GRAMMAR[cat][i]
         if alt.children:
-            yield from starmap(alt.build, _iter_children(
+            yield starmap(alt.build, _iter_children(
                 alt.children, length - alt.cost, start))
         else:
-            yield alt.build()
+            yield (alt.build(),)
         start = 0
 
 
@@ -384,11 +388,12 @@ def _iter_children(children: tuple[str, ...], total: int,
     table = _child_tuples(children, total)
     if table is not None:
         return iter(table[start:])
-    return _stream_children(children, total, start)
+    return chain.from_iterable(_head_runs(children, total, start))
 
 
-def _stream_children(children: tuple[str, ...], total: int,
-                     start: int) -> Iterator[tuple[Any, ...]]:
+def _head_runs(children: tuple[str, ...], total: int,
+               start: int) -> Iterator[Iterator[tuple[Any, ...]]]:
+    """One iterator per head value, over the child tuples it begins."""
     starts, head_lens, tails = _split_offsets(children, total)
     if start >= starts[-1]:
         return
@@ -397,8 +402,8 @@ def _stream_children(children: tuple[str, ...], total: int,
     head, rest = children[0], children[1:]
     for head_len in head_lens[first:]:
         for head_val in _iter_in_length(head, head_len, head_start):
-            yield from map(add, repeat((head_val,)),
-                           _iter_children(rest, total - head_len, tail_start))
+            yield map(add, repeat((head_val,)),
+                      _iter_children(rest, total - head_len, tail_start))
             tail_start = 0
         head_start = 0
 
@@ -429,7 +434,7 @@ def _members(cat: str, length: int) -> Sequence[Any] | None:
         first = 10 ** (length - 1) if length > 1 else 0
         table: Sequence[Any] | None = range(first, first + _count("N", length))
     elif _count(cat, length) <= _TABLE_CAP:
-        table = tuple(_stream_members(cat, length, 0))
+        table = tuple(chain.from_iterable(_alt_runs(cat, length, 0)))
     else:
         table = None
     _member_tables[key] = table
@@ -444,7 +449,7 @@ def _child_tuples(children: tuple[str, ...],
         return _child_tables[key]
     table = None
     if _ways(children, total) <= _TABLE_CAP:
-        table = tuple(_stream_children(children, total, 0))
+        table = tuple(chain.from_iterable(_head_runs(children, total, 0)))
     _child_tables[key] = table
     return table
 

@@ -40,6 +40,7 @@ from .lang import (
     Add, Assign, Lt, Mul, Num, Program, Reg, Seq, While, SKIP,
     program_length, string_to_nat,
 )
+from . import vm
 from .parallel import ordered_map
 from .vm import classify, run
 
@@ -148,10 +149,14 @@ class SummaryFold:
         self.output_hist.update(other.output_hist)
         for length, row in other.steps_hist.items():
             self.steps_hist.setdefault(length, Counter()).update(row)
+        producers = self.producers
         for out, (best, witness, n) in other.producers.items():
-            entry = self.producers.setdefault(out, [best, witness, 0])
+            entry = producers.get(out)
+            if entry is None:
+                producers[out] = [best, witness, n]
+                continue
             entry[2] += n
-            if (best, witness) < (entry[0], entry[1]):
+            if best < entry[0] or best == entry[0] and witness < entry[1]:
                 entry[0], entry[1] = best, witness
         return self
 
@@ -230,17 +235,22 @@ def _sweep_chunk(task) -> tuple[SummaryFold, list[bool], list[int],
                                 list[str]]:
     """Run one task's programs into three lists (halted flags, steps,
     outputs, ``""`` for a run that did not halt) and fold them at once:
-    ``(fold, halted, steps, outputs)``."""
+    ``(fold, halted, steps, outputs)``.  A halted run's store goes straight
+    to ``vm.output_string``, which, like the VM entry point, is looked up
+    once per task, so a wrapper put on either still sees every call."""
     length, start, count, base, budget, exact_budget = task
     execute = run if exact_budget else classify
+    output_string = vm.output_string
     halted: list[bool] = []
     steps: list[int] = []
     outputs: list[str] = []
+    add_halted, add_steps, add_output = (halted.append, steps.append,
+                                         outputs.append)
     for program in islice(iter_fixed_length(length, start), count):
-        result = execute(program, budget)
-        halted.append(result.halted)
-        steps.append(result.steps)
-        outputs.append(result.output)
+        h, s, store = execute(program, budget)
+        add_halted(h)
+        add_steps(s)
+        add_output(output_string(store) if h else "")
     fold = SummaryFold.of_slice(length, range(base, base + count), halted,
                                 steps, outputs)
     return fold, halted, steps, outputs

@@ -8,12 +8,14 @@ node, operators and leaves alike.  A run either empties its control stack
 within the step budget (halted) or is cut off with ``steps`` pinned to the
 budget.
 
-``run`` applies the budget literally.  ``classify`` produces the same
-halted/steps answer but additionally watches for repeated machine
-configurations at ``while`` heads, which lets it bail out of tight loops
-long before the budget is spent.  ``detect_divergence`` is the same
-machine with no budget at all, and a cap on the configurations it
-remembers.  All three share one interpreter loop.
+``run`` applies the budget literally, always through the interpreter
+loop: it is the reference.  ``classify`` produces the same answer but
+watches for repeated machine configurations at ``while`` heads, which
+lets it bail out of tight loops long before the budget is spent, and
+answers a lone ``x[i] := A`` (most of the program space) in one step.
+``detect_divergence`` is the same machine with no budget at all, and a
+cap on the configurations it remembers.  Otherwise all three share one
+interpreter loop.
 
 A run builds its per-node cost cache and its set of configurations at
 the first ``while`` it meets.  Before a loop no statement repeats, so a
@@ -233,9 +235,22 @@ def classify(program: Program, budget: int) -> RunResult:
     ``while`` head costs at least 2 steps, so a run under this budget
     meets at most ``budget // 2 + 1`` of them and never reaches a cap of
     ``budget + 1``.
+
+    A program that is one ``x[i] := A`` skips the loop: it costs
+    ``1 + expression_cost(A)`` and stores the value ``A`` takes in the
+    empty store, or, over the budget, is cut off with the store empty.
     """
     if budget < 0:
         raise ValueError("budget must be nonnegative")
+    if type(program) is Assign:
+        # a leaf costs 1 and reads as its numeral or as an unset register
+        a, t = program.value, type(program.value)
+        cost = 2 if t is Num or t is Reg else 1 + expression_cost(a)
+        if cost > budget:
+            return _new_result(RunResult, (False, budget, {}))
+        v = a.value if t is Num else 0 if t is Reg else eval_arith(a, {})
+        store = {program.target: v} if v else {}
+        return _new_result(RunResult, (True, cost, store))
     halted, steps, store, _ = _execute(program, budget, budget + 1)
     return _new_result(RunResult, (halted, steps, store))
 

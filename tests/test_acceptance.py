@@ -5,6 +5,7 @@ window, where the criterion is statistical).  A per-criterion PASS/FAIL
 summary is printed by the conftest hook at the end of the run.
 """
 
+import hashlib
 import os
 from collections import Counter
 from fractions import Fraction
@@ -12,6 +13,7 @@ from multiprocessing import get_context
 
 import pytest
 
+from impspace.cli import _complexity_csv, _histograms_json
 from impspace.enumeration import (
     count_programs, cumulative_count, iter_canonical, rank_base,
     rank_canonical, unrank_base,
@@ -37,6 +39,20 @@ CENSUS_PAIRS = {1: (1, 0), 3: (2, 1), 4: (103, 1), 5: (2_059, 65),
 CENSUS_PAIR_8 = (7_578_748, 412_428)
 TOTAL_HALTING_8 = 8_137_464
 DISTINCT_OUTPUTS_8 = 100_000
+
+# SHA-256 of the complexity.csv and histograms.json that `impspace sweep
+# --max-length N` writes, measured once and pinned: unlike the census they
+# cover every witness, producer count and step histogram.
+ARTIFACT_DIGESTS = {
+    7: {"complexity.csv": "e6059cc056843f04858750ff764dc2f2"
+                          "86dd028d7d757e52ee6bd5887c2ff0ae",
+        "histograms.json": "d5a31db0d90135acd12ab7779e486c71"
+                           "e1ef607e676d0735ea95bb9a68a8f9e6"},
+    8: {"complexity.csv": "a224dca2e1c211eb943de625380bc977"
+                          "555ca0b6a6969ce4bab9e6817dcb414b",
+        "histograms.json": "21875633a2ff2d6befab1384166c6704"
+                           "440929a3a09f905ea09554c37e97855c"},
+}
 
 SAMPLE_SIZES = [(("0.009", "0.01"), 28_427),
                 (("0.001", "0.01"), 2_302_586),
@@ -87,6 +103,17 @@ def s7():
     return sweep_summary(7, 10_000, workers=WORKERS)
 
 
+def _artifact_digests(summary) -> dict[str, str]:
+    """Digests of two artifacts rendered from a summary exactly as
+    ``sweep --max-length N --out D`` writes them."""
+    config = {"subcommand": "sweep", "max_length": summary.max_length,
+              "budget": summary.budget, "format": "csv"}
+    texts = {"complexity.csv": _complexity_csv(summary),
+             "histograms.json": _histograms_json(summary, config)}
+    return {name: hashlib.sha256(text.encode()).hexdigest()
+            for name, text in texts.items()}
+
+
 def test_criterion_1_counting_exactness():
     got = [count_programs(length) for length in range(13)]
     assert got == TABLE_COUNTS
@@ -112,6 +139,10 @@ def test_criterion_3_halting_census(s7):
     assert s7.total == cumulative_count(7) == 584_613
 
 
+def test_artifact_digests_at_length_7(s7):
+    assert _artifact_digests(s7) == ARTIFACT_DIGESTS[7]
+
+
 def test_halting_census_at_length_8():
     s8 = sweep_summary(8, 10_000, workers=WORKERS)
     got = {length: (row.halted, row.not_halted)
@@ -120,6 +151,7 @@ def test_halting_census_at_length_8():
     assert s8.total == cumulative_count(8)
     assert s8.total_halting == TOTAL_HALTING_8
     assert len(s8.complexity) == DISTINCT_OUTPUTS_8
+    assert _artifact_digests(s8) == ARTIFACT_DIGESTS[8]
 
 
 def test_criterion_4_sample_size_formula():

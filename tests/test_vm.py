@@ -4,7 +4,8 @@ import random
 
 import pytest
 
-from impspace.lang import Assign, Num, SKIP, Seq, parse
+from impspace.enumeration import count_programs, unrank_fixed_length
+from impspace.lang import Assign, Num, SKIP, Seq, Sub, parse, render
 from impspace.vm import (
     Divergence, RunResult, classify, detect_divergence, eval_arith,
     expression_cost, output_string, run,
@@ -132,6 +133,27 @@ def test_classify_matches_run_exactly():
             if a.halted:
                 assert a.store == b.store
                 assert a.output == b.output
+
+
+def test_classify_answers_assignments_like_run_at_every_budget():
+    # classify answers a lone x[i] := A without the interpreter loop; run
+    # is the reference, on the store too when the run is cut off
+    programs = [p for p in bruteforce.programs_up_to(6) if type(p) is Assign]
+    rng = random.Random(13)
+    for k in rng.sample(range(count_programs(8)), 2_000):
+        p = unrank_fixed_length(8, k)
+        if type(p) is Assign:
+            programs.append(p)
+    assert len(programs) > 30_000
+    zero = [p for p in programs if not eval_arith(p.value, {})]
+    truncated = [p for p in zero if type(p.value) is Sub
+                 and eval_arith(p.value.left, {}) < eval_arith(p.value.right, {})]
+    assert zero and truncated
+    for p in programs:
+        cost = 1 + expression_cost(p.value)
+        for budget in {0, 1, cost - 1, cost, cost + 1, 10_000}:
+            assert tuple(classify(p, budget)) == tuple(run(p, budget)), \
+                (render(p), budget)
 
 
 def test_detect_divergence_examples():
