@@ -32,10 +32,9 @@ from .halting import (
     sample_size, tail_quantile, threshold_from_sample,
 )
 from .explorer import (
-    CensusRow, ComplexityEntry, FAMILIES, IncompleteCensusError,
-    OutputProbability, RunRecord, SweepSummary,
-    algorithmic_probability, complexity_table, family_program,
-    halting_census, histograms, sweep, sweep_summary, trivial_bound,
+    CensusRow, ComplexityEntry, FAMILIES, OutputProbability, RunRecord,
+    SweepSummary, algorithmic_probability, family_program, sweep,
+    sweep_summary, trivial_bound,
 )
 
 __all__ = [name for name in dir() if not name.startswith("_")]

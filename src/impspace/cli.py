@@ -285,12 +285,6 @@ def _cmd_sweep(args) -> int:
     }
     if args.records and args.out is None:
         raise ValueError("--records needs --out")
-    # sweep_summary checks these as well, but only after records.csv.part
-    # is open; a configuration that fails must create nothing
-    if args.budget < 1:
-        raise ValueError("budget must be at least 1")
-    if args.workers < 1:
-        raise ValueError("need at least one worker")
     started = perf_counter()
     _progress(f"sweeping {cumulative_count(args.max_length)} programs "
               f"(length <= {args.max_length}, budget {args.budget})")

@@ -5,12 +5,11 @@ and records, per canonical position: length, halted flag, step count,
 and output bitstring.  Its one unit of work is a task of at most
 ``_CHUNK`` programs of one length, run into three lists (halted flags,
 steps, outputs) and folded once by ``SummaryFold.of_slice``; parts merge
-in any order.  The same fold turns a record stream into the statistics,
-in sorted batches of ``_CHUNK`` records.  A sweep that needs both the
-rows and the statistics (``sweep_summary`` with a ``records`` sink) gets
-them from one pass: each task renders its rows as ``records.csv`` lines
-in the worker and hands that text back with its fold, which crosses the
-process boundary as flat columns.  The statistics are:
+in any order.  A sweep that needs both the rows and the statistics
+(``sweep_summary`` with a ``records`` sink) gets them from one pass:
+each task renders its rows as ``records.csv`` lines in the worker and
+hands that text back with its fold, which crosses the process boundary
+as flat columns.  The statistics are:
 
 * the halting census per length;
 * the shortest-producer table: for each output string, the minimal
@@ -30,9 +29,8 @@ from __future__ import annotations
 from collections import Counter
 from dataclasses import dataclass
 from fractions import Fraction
-from itertools import compress, groupby, islice
+from itertools import compress, islice
 from math import log2
-from operator import attrgetter
 from typing import Callable, Iterable, Iterator, Sequence
 
 from .enumeration import count_programs, cumulative_count, iter_fixed_length
@@ -82,10 +80,6 @@ class ComplexityEntry:
     best_length: int
     witness: int
     producers: int
-
-
-class IncompleteCensusError(ValueError):
-    """A census was requested over records not covering whole lengths."""
 
 
 # ---------------------------------------------------------------------------
@@ -295,9 +289,8 @@ def sweep_summary(max_length: int, budget: int, workers: int = 1,
                   ) -> SweepSummary:
     """Sweep with the fold done inside the workers, the parts merged here.
 
-    Produces exactly the statistics that ``halting_census``,
-    ``complexity_table`` and ``histograms`` would give over the full
-    record stream, in constant memory per distinct output.
+    This is the one way to the census, the shortest-producer table and
+    the histograms, in constant memory per distinct output.
 
     ``records``, if given, also receives the rows of the same pass: it is
     called once per task, in position order, with the text of that task's
@@ -315,49 +308,6 @@ def sweep_summary(max_length: int, budget: int, workers: int = 1,
             fold.merge(part)
             records(text)
     return fold.summary(max_length, budget)
-
-
-# ---------------------------------------------------------------------------
-# Aggregations over record streams: projections of the same fold
-# ---------------------------------------------------------------------------
-
-def _fold_records(records: Iterable[RunRecord]) -> SummaryFold:
-    """Fold a record stream in batches of ``_CHUNK`` records: each batch is
-    sorted by (length, position) and folded one length at a time."""
-    fold = SummaryFold()
-    fields = attrgetter("position", "halted", "steps", "output")
-    records = iter(records)
-    while batch := sorted(islice(records, _CHUNK),
-                          key=attrgetter("length", "position")):
-        for length, rows in groupby(batch, attrgetter("length")):
-            fold.merge(SummaryFold.of_slice(length, *zip(*map(fields, rows))))
-    return fold
-
-
-def halting_census(records: Iterable[RunRecord]) -> dict[int, CensusRow]:
-    """Per-length halting counts; lengths must be completely covered."""
-    census = _fold_records(records).census()
-    for length, row in census.items():
-        if row.total != count_programs(length):
-            raise IncompleteCensusError(
-                f"length {length}: saw {row.total} records, "
-                f"expected {count_programs(length)}")
-    return census
-
-
-def complexity_table(records: Iterable[RunRecord]) -> dict[str, ComplexityEntry]:
-    """Shortest producer per output over the halting records.
-
-    Ties on length break toward the smallest position.  Keys iterate in
-    canonical bitstring order (length, then lexicographic).
-    """
-    return _fold_records(records).complexity()
-
-
-def histograms(records: Iterable[RunRecord],
-               ) -> tuple[dict[int, dict[int, int]], dict[int, int]]:
-    """(steps-by-length matrix, output-length histogram) over halting records."""
-    return _fold_records(records).histograms()
 
 
 def trivial_bound(bits: str) -> tuple[Program, int]:

@@ -511,11 +511,12 @@ def test_sweep_records_reach_the_disk_chunk_by_chunk(tmp_path, capsys,
 
 def test_failed_sweep_leaves_nothing_behind(tmp_path, capsys, monkeypatch):
     out_dir = tmp_path / "out"
-    code, _, err = run_cli(capsys, "sweep", "--max-length", "2", "--budget",
-                           "0", "--records", "--out", str(out_dir))
-    assert code == EXIT_CONFIG
-    assert "error[config]" in err
-    assert not out_dir.exists()
+    for flag in ("--budget", "--workers"):
+        code, _, err = run_cli(capsys, "sweep", "--max-length", "2", flag,
+                               "0", "--records", "--out", str(out_dir))
+        assert code == EXIT_CONFIG, flag
+        assert "error[config]" in err
+        assert not out_dir.exists()
 
     code, _, _ = run_cli(capsys, "sweep", "--max-length", "4", "--records",
                          "--out", str(out_dir))

@@ -3,6 +3,7 @@
 import pickle
 import random
 from fractions import Fraction
+from itertools import permutations
 
 import pytest
 
@@ -11,9 +12,9 @@ from impspace.enumeration import (
     cumulative_count, rank_canonical, unrank_canonical,
 )
 from impspace.explorer import (
-    FAMILIES, IncompleteCensusError, RunRecord, SummaryFold,
-    algorithmic_probability, complexity_table, family_program,
-    halting_census, histograms, sweep, sweep_summary, trivial_bound,
+    FAMILIES, CensusRow, ComplexityEntry, RunRecord, SummaryFold,
+    algorithmic_probability, family_program, sweep, sweep_summary,
+    trivial_bound,
 )
 from impspace.lang import parse, program_length, render, string_to_nat
 from impspace.vm import classify, output_string, run
@@ -23,6 +24,31 @@ import bruteforce
 
 def collect(max_length, budget=10_000, **kw):
     return list(sweep(max_length, budget, **kw))
+
+
+def naive_aggregation(records):
+    """Census, producer table and histograms of a record stream, counted
+    one row at a time in plain dicts with sorted keys: no code shared with
+    the sweep's fold."""
+    census, producers, steps_hist, output_hist = {}, {}, {}, {}
+    for r in records:
+        census.setdefault(r.length, [0, 0])[0 if r.halted else 1] += 1
+        if not r.halted:
+            continue
+        row = steps_hist.setdefault(r.length, {})
+        row[r.steps] = row.get(r.steps, 0) + 1
+        output_hist[len(r.output)] = output_hist.get(len(r.output), 0) + 1
+        entry = producers.setdefault(r.output, [r.length, r.position, 0])
+        entry[2] += 1
+        if (r.length, r.position) < (entry[0], entry[1]):
+            entry[0], entry[1] = r.length, r.position
+    return (
+        {l: CensusRow(*census[l]) for l in sorted(census)},
+        {out: ComplexityEntry(out, *producers[out])
+         for out in sorted(producers, key=lambda out: (len(out), out))},
+        {l: dict(sorted(steps_hist[l].items())) for l in sorted(steps_hist)},
+        dict(sorted(output_hist.items())),
+    )
 
 
 # ---------------------------------------------------------------------------
@@ -74,18 +100,12 @@ def test_sweep_validation():
 # ---------------------------------------------------------------------------
 
 def test_census_small_lengths():
-    census = halting_census(collect(5))
+    census = sweep_summary(5, 10_000).census
     assert {l: (row.halted, row.not_halted) for l, row in census.items()} == \
         {1: (1, 0), 3: (2, 1), 4: (103, 1), 5: (2_059, 65)}
     assert census[3].halted_pct == 66.7
     assert census[3].not_halted_pct == 33.3
     assert census[5].halted_pct == 96.9
-
-
-def test_census_rejects_partial_length():
-    records = collect(4)
-    with pytest.raises(IncompleteCensusError):
-        halting_census(records[:-1])
 
 
 def test_summary_matches_record_aggregation():
@@ -95,11 +115,12 @@ def test_summary_matches_record_aggregation():
     for max_length, budget in [*cases, (6, 10_000)]:
         records = collect(max_length, budget)
         summary = sweep_summary(max_length, budget)
-        assert summary.census == halting_census(records)
-        assert summary.complexity == complexity_table(records)
-        steps_hist, output_hist = histograms(records)
-        assert summary.steps_hist == steps_hist, budget
-        assert summary.output_hist == output_hist
+        got = (summary.census, summary.complexity, summary.steps_hist,
+               summary.output_hist)
+        # compared as item lists, so the key order has to agree as well
+        assert [list(table.items()) for table in got] == \
+            [list(table.items()) for table in naive_aggregation(records)], \
+            (max_length, budget)
         assert summary.total == len(records)
         assert summary.total_halting == sum(r.halted for r in records)
 
@@ -124,13 +145,16 @@ def test_sweep_calls_each_layer_once_per_program(monkeypatch):
     assert (summary.total, summary.total_halting) == (2232, 2165)
 
 
-def test_fold_merges_parts_in_any_order(monkeypatch):
+def test_fold_merges_parts_in_any_order():
     records = collect(5)
     rng = random.Random(11)
-    cuts = sorted(rng.sample(range(1, len(records)), 6))
-    parts = [records[a:b] for a, b in zip([0, *cuts], [*cuts, len(records)])]
-    for part in parts:
-        rng.shuffle(part)
+    # contiguous parts cut at random rows and at every length boundary,
+    # each folded by one of_slice call
+    cuts = {0, len(records), *rng.sample(range(1, len(records)), 6)}
+    cuts.update(i for i in range(1, len(records))
+                if records[i].length != records[i - 1].length)
+    cuts = sorted(cuts)
+    parts = [records[a:b] for a, b in zip(cuts, cuts[1:])]
     # outputs produced in more than one part, so the witness of each has to
     # move when a later part is merged before an earlier one
     seen_in = {}
@@ -139,15 +163,18 @@ def test_fold_merges_parts_in_any_order(monkeypatch):
             if r.halted:
                 seen_in.setdefault(r.output, set()).add(i)
     assert sum(len(found) > 1 for found in seen_in.values()) > 10
-    # at a chunk of 100 each shuffled part spans several sorted batches
-    for chunk in (explorer._CHUNK, 100):
-        monkeypatch.setattr(explorer, "_CHUNK", chunk)
+    folds = [SummaryFold.of_slice(part[0].length,
+                                  *zip(*[(r.position, r.halted, r.steps,
+                                          r.output) for r in part]))
+             for part in parts]
+    shuffled = folds[:]
+    rng.shuffle(shuffled)
+    whole = sweep_summary(5, 10_000)
+    for order in (folds[::-1], shuffled):
         merged = SummaryFold()
-        for part in reversed(parts):
-            merged.merge(explorer._fold_records(part))
-        whole = explorer._fold_records(records).summary(5, 10_000)
-        assert merged.summary(5, 10_000) == whole == \
-            sweep_summary(5, 10_000), chunk
+        for fold in order:
+            merged.merge(fold)
+        assert merged.summary(5, 10_000) == whole
 
 
 def test_chunk_size_changes_nothing(monkeypatch):
@@ -236,7 +263,7 @@ def test_pickled_task_folds_merge_to_the_sweep():
 # ---------------------------------------------------------------------------
 
 def test_complexity_epsilon_entry():
-    table = complexity_table(collect(4))
+    table = sweep_summary(4, 10_000).complexity
     empty = table[""]
     assert empty.best_length == 1
     assert empty.witness == 0
@@ -244,29 +271,32 @@ def test_complexity_epsilon_entry():
 
 
 def test_complexity_producer_partition():
-    records = collect(5)
-    table = complexity_table(records)
-    halting = sum(1 for r in records if r.halted)
+    table = sweep_summary(5, 10_000).complexity
+    halting = sum(1 for r in collect(5) if r.halted)
     assert sum(e.producers for e in table.values()) == halting
 
 
 def test_complexity_key_order_is_canonical():
-    table = complexity_table(collect(5))
+    table = sweep_summary(5, 10_000).complexity
     keys = list(table)
     assert keys == sorted(keys, key=lambda s: (len(s), s))
 
 
 def test_complexity_tie_breaks_toward_least_position():
-    records = [
-        RunRecord(9, 4, True, 3, "01"),
-        RunRecord(5, 4, True, 2, "01"),
-        RunRecord(7, 6, True, 2, "01"),
-        RunRecord(8, 4, False, 100, ""),
+    parts = [
+        SummaryFold.of_slice(4, [5, 8], [True, False], [2, 100], ["01", ""]),
+        SummaryFold.of_slice(4, [9], [True], [3], ["01"]),
+        SummaryFold.of_slice(6, [7], [True], [2], ["01"]),
     ]
-    entry = complexity_table(records)["01"]
-    assert entry.best_length == 4
-    assert entry.witness == 5
-    assert entry.producers == 3
+    # the same after the pickle round trip that a pool puts each part through
+    pickled = [pickle.loads(pickle.dumps(part)) for part in parts]
+    for candidates in (parts, pickled):
+        for order in permutations(candidates):
+            merged = SummaryFold()
+            for part in order:
+                merged.merge(part)
+            assert merged.complexity() == \
+                {"01": ComplexityEntry("01", 4, 5, 3)}
 
 
 def test_complexity_witnesses_reproduce_output():
@@ -320,9 +350,7 @@ def test_algorithmic_probability():
 
 
 def test_algorithmic_probability_certain_output():
-    records = [RunRecord(0, 1, True, 0, "10"),
-               RunRecord(1, 3, True, 1, "10")]
-    table = complexity_table(records)
+    table = {"10": ComplexityEntry("10", 1, 0, 2)}
     result = algorithmic_probability(table, "10", 2)
     assert result.probability == 1
     assert result.complexity_bits == 0.0
@@ -334,8 +362,9 @@ def test_algorithmic_probability_certain_output():
 
 def test_histogram_marginals_match_census():
     records = collect(5)
-    steps_hist, output_hist = histograms(records)
-    census = halting_census(records)
+    summary = sweep_summary(5, 10_000)
+    steps_hist, output_hist, census = (summary.steps_hist,
+                                       summary.output_hist, summary.census)
     for length, row in steps_hist.items():
         assert sum(row.values()) == census[length].halted
     assert sum(output_hist.values()) == \
