@@ -402,10 +402,19 @@ def _cmd_audit(args) -> int:
     if args.recheck and "records.csv" in files \
             and "records.csv" not in missing:
         config = manifest.get("config")
-        budget = config.get("budget") if isinstance(config, dict) else None
+        if not isinstance(config, dict):
+            config = {}
+        budget, max_length = config.get("budget"), config.get("max_length")
         if type(budget) is not int or budget < 1:
             raise IntegrityError(
                 "manifest has no config.budget (a positive integer)")
+        if type(max_length) is not int or max_length < 1:
+            raise IntegrityError(
+                "manifest has no config.max_length (a positive integer)")
+        # a row whose position lies outside the swept space fails as it
+        # stands: unranking a position of thousands of digits would take
+        # minutes and gigabytes
+        space = cumulative_count(max_length)
         # the fields are unquoted digits, true/false and bits, so a plain
         # split parses a row of any length.  The file streams twice, line
         # by line as readlines() would split it: once to count the rows
@@ -429,13 +438,17 @@ def _cmd_audit(args) -> int:
             rechecked += 1
             try:
                 position, length, halted, steps, output = row
-                program = unrank_canonical(int(position))
+                position = int(position)
                 expect = (int(length), halted == "true", int(steps), output)
             except ValueError:
-                # a malformed row (wrong field count, bad number, position
-                # out of range) cannot match any run
+                # a malformed row (wrong field count, bad number) cannot
+                # match any run
                 failures += 1
                 continue
+            if not 0 <= position < space:
+                failures += 1
+                continue
+            program = unrank_canonical(position)
             result = classify(program, budget)
             if (program_length(program), result.halted, result.steps,
                     result.output) != expect:

@@ -9,7 +9,11 @@ in any order.  A sweep that needs both the rows and the statistics
 (``sweep_summary`` with a ``records`` sink) gets them from one pass:
 each task renders its rows as ``records.csv`` lines in the worker and
 hands that text back with its fold, which crosses the process boundary
-as flat columns.  The statistics are:
+as flat columns.  That pass runs each ``A`` tree of a length's
+``x[i] := A`` block once (``_assign_columns``) and repeats its result for
+every register ``i``, since such a program does the same whatever ``i``;
+every other program runs one at a time, as every program does in a sweep
+without a sink.  The statistics are:
 
 * the halting census per length;
 * the shortest-producer table: for each output string, the minimal
@@ -29,11 +33,14 @@ from __future__ import annotations
 from collections import Counter
 from dataclasses import dataclass
 from fractions import Fraction
-from itertools import compress, islice
+from itertools import compress, cycle, islice
 from math import log2
 from typing import Callable, Iterable, Iterator, Sequence
 
-from .enumeration import count_programs, cumulative_count, iter_fixed_length
+from .enumeration import (
+    _alt_offsets, _iter_in_length, _split_offsets, count_programs,
+    cumulative_count, iter_fixed_length,
+)
 from .lang import (
     Add, Assign, Lt, Mul, Num, Program, Reg, Seq, While, SKIP,
     program_length, string_to_nat,
@@ -225,19 +232,16 @@ def _plan(max_length: int, budget: int, workers: int,
     return tasks
 
 
-def _sweep_chunk(task) -> tuple[SummaryFold, list[bool], list[int],
-                                list[str]]:
-    """Run one task's programs into three lists (halted flags, steps,
-    outputs, ``""`` for a run that did not halt) and fold them at once:
-    ``(fold, halted, steps, outputs)``.  A halted run's store goes straight
-    to ``vm.output_string``, which, like the VM entry point, is looked up
-    once per task, so a wrapper put on either still sees every call."""
-    length, start, count, base, budget, exact_budget = task
-    execute = run if exact_budget else classify
+def _run_programs(length: int, start: int, count: int, budget: int,
+                  execute: Callable, halted: list[bool], steps: list[int],
+                  outputs: list[str]) -> None:
+    """Run ``count`` programs of one length from rank ``start`` through
+    ``execute``, appending each one's halted flag, steps and output (``""``
+    for a run that did not halt) to the three lists.  A halted run's store
+    goes straight to ``vm.output_string``, which, like ``execute``, is
+    looked up once per call, so a wrapper put on either sees every call
+    made here."""
     output_string = vm.output_string
-    halted: list[bool] = []
-    steps: list[int] = []
-    outputs: list[str] = []
     add_halted, add_steps, add_output = (halted.append, steps.append,
                                          outputs.append)
     for program in islice(iter_fixed_length(length, start), count):
@@ -245,8 +249,17 @@ def _sweep_chunk(task) -> tuple[SummaryFold, list[bool], list[int],
         add_halted(h)
         add_steps(s)
         add_output(output_string(store) if h else "")
-    fold = SummaryFold.of_slice(length, range(base, base + count), halted,
-                                steps, outputs)
+
+
+def _sweep_chunk(task) -> tuple[SummaryFold, list[bool], list[int],
+                                list[str]]:
+    """Run every program of one task into three lists (halted flags, steps,
+    outputs) and fold them at once: ``(fold, halted, steps, outputs)``."""
+    length, start, count, base, budget, exact_budget = task
+    columns = halted, steps, outputs = [], [], []
+    _run_programs(length, start, count, budget,
+                  run if exact_budget else classify, *columns)
+    fold = SummaryFold.of_slice(length, range(base, base + count), *columns)
     return fold, halted, steps, outputs
 
 
@@ -254,12 +267,71 @@ def _summary_task(task) -> SummaryFold:
     return _sweep_chunk(task)[0]
 
 
+# The Assign columns of the last (length, budget) asked for, keyed also by
+# the VM functions that built them, so that a wrapper put on either builds
+# its own.  One entry: a pool worker builds each length's columns once.
+_assign_cache: dict[tuple, list[tuple]] = {}
+
+
+def _assign_columns(length: int, budget: int) -> list[tuple]:
+    """The splits of one length's ``x[i] := A`` block, each as
+    ``(first rank, end rank, A trees, (halted, steps, outputs))``, the
+    three columns holding one entry per A tree in rank order.
+
+    From the empty store ``x[i] := A`` costs ``1 + expression_cost(A)``
+    and stores the value of ``A``, or is cut off over the budget, and its
+    output does not depend on ``i``.  So ``classify(x[0] := A)`` answers
+    for every register head, and a split, whose ranks run head-major,
+    repeats its column once per head.  The block, where there is one,
+    starts at rank 0: ``skip``, the one alternative before it, has
+    length 1."""
+    key = (length, budget, classify, vm.output_string)
+    splits = _assign_cache.get(key)
+    if splits is not None:
+        return splits
+    output_string = vm.output_string
+    splits = []
+    if _alt_offsets("P", length)[1][:1] == (1,):  # Assign, P's second
+        starts, head_lens, tails = _split_offsets(("X", "A"), length - 1)
+        for i, head_len in enumerate(head_lens):
+            columns = halted, steps, outputs = [], [], []
+            for tree in _iter_in_length("A", length - 1 - head_len):
+                h, s, store = classify(Assign(0, tree), budget)
+                halted.append(h)
+                steps.append(s)
+                outputs.append(output_string(store) if h else "")
+            splits.append((starts[i], starts[i + 1], tails[i], columns))
+    _assign_cache.clear()
+    _assign_cache[key] = splits
+    return splits
+
+
 def _record_task(task) -> tuple[SummaryFold, str]:
     """Fold one task and render its rows, in the worker that ran them, as
     the ``records.csv`` lines ``position,length,halted,steps,output``:
-    ``(fold, text)``."""
-    length, _, count, base = task[:4]
-    fold, halted, steps, outputs = _sweep_chunk(task)
+    ``(fold, text)``.
+
+    The task's ``x[i] := A`` programs take their rows from the columns of
+    ``_assign_columns``; every other program runs, and with
+    ``exact_budget`` every program runs through ``run``."""
+    length, start, count, base, budget, exact_budget = task
+    if exact_budget:
+        fold, halted, steps, outputs = _sweep_chunk(task)
+    else:
+        columns = halted, steps, outputs = [], [], []
+        rank, stop = start, start + count
+        for first, end, trees, split in _assign_columns(length, budget):
+            n = min(stop, end) - rank
+            if n > 0:
+                offset = (rank - first) % trees
+                for column, part in zip(columns, split):
+                    column.extend(islice(cycle(part), offset, offset + n))
+                rank += n
+        if rank < stop:
+            _run_programs(length, rank, stop - rank, budget, classify,
+                          *columns)
+        fold = SummaryFold.of_slice(length, range(base, base + count),
+                                    *columns)
     tags = (f",{length},false,", f",{length},true,")
     return fold, "".join([f"{position}{tags[h]}{s},{output}\n"
                           for position, h, s, output
@@ -296,7 +368,10 @@ def sweep_summary(max_length: int, budget: int, workers: int = 1,
     called once per task, in position order, with the text of that task's
     ``records.csv`` lines (``position,length,halted,steps,output``, each
     ending in a newline), rendered in the worker that ran the task, so
-    that every program runs once whether or not its row is kept.
+    that no program runs twice to give both.  The rows of ``x[i] := A``
+    programs then come from one run per ``A`` tree (see
+    ``_assign_columns``), unless ``exact_budget`` is set; the statistics
+    are the same either way.
     """
     tasks = _plan(max_length, budget, workers, exact_budget)
     fold = SummaryFold()

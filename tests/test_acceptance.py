@@ -54,6 +54,11 @@ ARTIFACT_DIGESTS = {
                            "440929a3a09f905ea09554c37e97855c"},
 }
 
+# Size and SHA-256 of the records.csv that `impspace sweep --max-length 7
+# --records` writes, measured once and pinned: every row of the census.
+RECORDS_7 = (12_754_942, "c348c6133d0d3726a13df296c0450a7e"
+                         "092cbd108474a44fc1c8460582e74d8f")
+
 SAMPLE_SIZES = [(("0.009", "0.01"), 28_427),
                 (("0.001", "0.01"), 2_302_586),
                 (("0.001", "0.001"), 3_453_878),
@@ -141,6 +146,21 @@ def test_criterion_3_halting_census(s7):
 
 def test_artifact_digests_at_length_7(s7):
     assert _artifact_digests(s7) == ARTIFACT_DIGESTS[7]
+
+
+def test_records_at_length_7_are_pinned():
+    for workers in (1, 2):
+        header = b"position,length,halted,steps,output\n"
+        digest, size = hashlib.sha256(header), [len(header)]
+
+        def sink(text):
+            data = text.encode()
+            digest.update(data)
+            size[0] += len(data)
+
+        summary = sweep_summary(7, 10_000, workers=workers, records=sink)
+        assert (size[0], digest.hexdigest()) == RECORDS_7, workers
+        assert _artifact_digests(summary) == ARTIFACT_DIGESTS[7], workers
 
 
 def test_halting_census_at_length_8():

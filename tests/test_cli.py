@@ -324,6 +324,13 @@ def test_audit_rejects_incomplete_manifest(tmp_path, capsys):
     code, _, err = run_cli(capsys, "audit", str(out_dir), "--recheck", "3")
     assert code == EXIT_INTEGRITY
     assert "error[integrity]: manifest has no config.budget" in err
+    manifest["config"]["budget"] = 10_000
+    for max_length in (None, 0, "3", 3.0, True):
+        manifest["config"]["max_length"] = max_length
+        (out_dir / "manifest.json").write_text(json.dumps(manifest))
+        code, _, err = run_cli(capsys, "audit", str(out_dir), "--recheck", "3")
+        assert code == EXIT_INTEGRITY, max_length
+        assert "error[integrity]: manifest has no config.max_length" in err
 
 
 def test_audit_reads_only_files_beside_the_manifest(tmp_path, capsys,
@@ -410,6 +417,35 @@ def test_audit_recheck_reads_fields_of_any_length(tmp_path, capsys):
     report = json.loads(out)
     assert report["mismatched"] == ["records.csv"]
     assert report["rechecked"] == 3
+
+
+def test_audit_recheck_fails_positions_past_the_space(tmp_path, capsys,
+                                                     monkeypatch):
+    out_dir = tmp_path / "sweep3"
+    run_cli(capsys, "sweep", "--max-length", "3", "--records",
+            "--out", str(out_dir))
+    path = out_dir / "records.csv"
+    header, *rows = path.read_text().splitlines(keepends=True)
+    space = cumulative_count(3)
+    assert len(rows) == space == 4
+    # a 1,000-digit position, and the first few past the space
+    past = [10 ** 999, space, space + 1, space + 2]
+    path.write_text(header + "".join(f"{position}{row[row.index(','):]}"
+                                     for position, row in zip(past, rows)))
+    _sign(out_dir, "records.csv")
+    unrank = cli.unrank_canonical
+
+    def bounded(position):
+        assert position < space, "unranked a position past the space"
+        return unrank(position)
+
+    monkeypatch.setattr(cli, "unrank_canonical", bounded)
+    code, out, err = run_cli(capsys, "audit", str(out_dir), "--recheck", "50")
+    assert code == EXIT_INTEGRITY
+    assert "error[integrity]" in err
+    report = json.loads(out)
+    assert report["mismatched"] == [] and report["missing"] == []
+    assert report["rechecked"] == 4 and report["recheck_failures"] == 4
 
 
 def test_audit_rejects_negative_recheck(tmp_path, capsys):
@@ -589,11 +625,15 @@ def _count_calls(monkeypatch, name):
 
 
 def test_sweep_records_runs_each_program_once(tmp_path, capsys, monkeypatch):
+    # 224 + 4 + 4 programs outside the x[i] := A blocks run one at a time;
+    # the blocks' 1,900 + 100 programs take their rows from the 110 + 10
+    # A trees they pair with a register, each run once.  A second pass
+    # over the space would make at least 2,232 calls
     calls = _count_calls(monkeypatch, "classify")
     code, _, _ = run_cli(capsys, "sweep", "--max-length", "5", "--records",
                          "--workers", "1", "--out", str(tmp_path / "a"))
     assert code == EXIT_OK
-    assert len(calls) == 2_232
+    assert len(calls) == 352 < 2_232
 
     calls.clear()
     exact_calls = _count_calls(monkeypatch, "run")

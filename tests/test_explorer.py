@@ -17,6 +17,7 @@ from impspace.explorer import (
     trivial_bound,
 )
 from impspace.lang import parse, program_length, render, string_to_nat
+from impspace.parallel import ordered_map
 from impspace.vm import classify, output_string, run
 
 import bruteforce
@@ -225,6 +226,21 @@ def test_summary_matches_bruteforce_oracle():
          for out, (best, witnesses, n) in table.items()}
 
 
+def test_ordered_map_submits_two_tasks_per_worker_ahead():
+    # a consumer slower than the pool holds at most 2 * workers results
+    pulled = []
+
+    def tasks():
+        for task in range(20):
+            pulled.append(task)
+            yield task
+
+    results = ordered_map(abs, tasks(), 3)
+    assert next(results) == 0 and len(pulled) == 6
+    assert next(results) == 1 and len(pulled) == 7
+    assert list(results) == list(range(2, 20)) and len(pulled) == 20
+
+
 def test_summary_parallel_merge_is_deterministic():
     a = sweep_summary(5, 10_000, workers=1)
     b = sweep_summary(5, 10_000, workers=4)
@@ -256,6 +272,30 @@ def test_pickled_task_folds_merge_to_the_sweep():
     whole = sweep_summary(6, 10_000)
     assert merged.summary(6, 10_000) == whole
     assert sweep_summary(6, 10_000, workers=2) == whole
+
+
+def test_record_task_folds_assign_blocks_exactly(monkeypatch):
+    # the records task takes the x[i] := A rows from one run per A tree;
+    # it has to give the fold and the text of running every program.  At
+    # the smallest budgets the Assign rows whose A costs more are cut off,
+    # a chunk size of 997 cuts tasks inside the splits of every block, and
+    # each task runs at every budget in turn, so that columns kept from
+    # another budget would show
+    for chunk, budgets in ((4_096, (*range(1, 21), 10_000)),
+                           (997, (3, 10_000))):
+        monkeypatch.setattr(explorer, "_CHUNK", chunk)
+        tasks = [task for budget in budgets
+                 for task in explorer._plan(6, budget, 1, False)]
+        for task in sorted(tasks, key=lambda task: task[:2]):
+            length, _, count, base = task[:4]
+            fold, text = explorer._record_task(task)
+            want, halted, steps, outputs = explorer._sweep_chunk(task)
+            assert _fields(fold) == _fields(want), (chunk, task)
+            assert text == "".join(
+                f"{position},{length},{'true' if h else 'false'},{s},{out}\n"
+                for position, h, s, out in zip(range(base, base + count),
+                                               halted, steps, outputs)), \
+                (chunk, task)
 
 
 # ---------------------------------------------------------------------------
