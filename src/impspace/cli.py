@@ -411,10 +411,6 @@ def _cmd_audit(args) -> int:
         if type(max_length) is not int or max_length < 1:
             raise IntegrityError(
                 "manifest has no config.max_length (a positive integer)")
-        # a row whose position lies outside the swept space fails as it
-        # stands: unranking a position of thousands of digits would take
-        # minutes and gigabytes
-        space = cumulative_count(max_length)
         # the fields are unquoted digits, true/false and bits, so a plain
         # split parses a row of any length.  The file streams twice, line
         # by line as readlines() would split it: once to count the rows
@@ -422,6 +418,17 @@ def _cmd_audit(args) -> int:
         path = base / "records.csv"
         with open(path, errors="replace") as fh:
             count = max(sum(1 for _ in fh) - 1, 0)
+        # no digest covers the config: believe its length only as far as
+        # the rows reach, as the offsets of a length in the thousands would
+        # exhaust memory.  A row outside that space fails as it stands, as
+        # unranking a position of thousands of digits would take minutes
+        reach = 1
+        while cumulative_count(reach) < count:
+            reach += 1
+        if max_length > reach:
+            raise IntegrityError(f"config.max_length {max_length} is past "
+                                 f"length {reach}, which the rows reach")
+        space = cumulative_count(max_length)
         rng = SplitMix64(args.seed)
         draws = [rng.randbelow(count)
                  for _ in range(min(args.recheck, count))]

@@ -3,17 +3,17 @@
 A *sweep* runs every program up to a length bound under one step budget
 and records, per canonical position: length, halted flag, step count,
 and output bitstring.  Its one unit of work is a task of at most
-``_CHUNK`` programs of one length, run into three lists (halted flags,
-steps, outputs) and folded once by ``SummaryFold.of_slice``; parts merge
-in any order.  A sweep that needs both the rows and the statistics
-(``sweep_summary`` with a ``records`` sink) gets them from one pass:
-each task renders its rows as ``records.csv`` lines in the worker and
-hands that text back with its fold, which crosses the process boundary
-as flat columns.  That pass runs each ``A`` tree of a length's
-``x[i] := A`` block once (``_assign_columns``) and repeats its result for
-every register ``i``, since such a program does the same whatever ``i``;
-every other program runs one at a time, as every program does in a sweep
-without a sink.  The statistics are:
+``_CHUNK`` programs of one length; every row comes from
+``_run_programs``, and ``SummaryFold.of_slice`` folds a task's rows at
+once; parts merge in any order.  A sweep that needs both the rows and the
+statistics (``sweep_summary`` with a ``records`` sink) gets them from one
+pass: each task renders its rows as ``records.csv`` lines in the worker
+and hands that text back with its fold, which crosses the process
+boundary as flat columns.  There each split of the ``x[i] := A`` block
+repeats the run of its lowest register (``_assign_columns``), as such a
+program does the same whatever ``i``.  A sweep without a sink runs every
+program, since the benchmark and the tests count one VM call per program
+(ROADMAP items 1 and 4).  The statistics are:
 
 * the halting census per length;
 * the shortest-producer table: for each output string, the minimal
@@ -33,13 +33,14 @@ from __future__ import annotations
 from collections import Counter
 from dataclasses import dataclass
 from fractions import Fraction
+from functools import lru_cache
 from itertools import compress, cycle, islice
 from math import log2
 from typing import Callable, Iterable, Iterator, Sequence
 
 from .enumeration import (
-    _alt_offsets, _iter_in_length, _split_offsets, count_programs,
-    cumulative_count, iter_fixed_length,
+    _alt_offsets, _split_offsets, count_programs, cumulative_count,
+    iter_fixed_length,
 )
 from .lang import (
     Add, Assign, Lt, Mul, Num, Program, Reg, Seq, While, SKIP,
@@ -235,12 +236,11 @@ def _plan(max_length: int, budget: int, workers: int,
 def _run_programs(length: int, start: int, count: int, budget: int,
                   execute: Callable, halted: list[bool], steps: list[int],
                   outputs: list[str]) -> None:
-    """Run ``count`` programs of one length from rank ``start`` through
-    ``execute``, appending each one's halted flag, steps and output (``""``
-    for a run that did not halt) to the three lists.  A halted run's store
-    goes straight to ``vm.output_string``, which, like ``execute``, is
-    looked up once per call, so a wrapper put on either sees every call
-    made here."""
+    """The one loop that runs ranks into rows: ``count`` programs of one
+    length from rank ``start`` through ``execute``, each appending its
+    halted flag, steps and output (``""`` unless it halted) to the three
+    lists.  ``execute`` and ``vm.output_string`` are looked up once per
+    call, so a wrapper put on either sees every call made here."""
     output_string = vm.output_string
     add_halted, add_steps, add_output = (halted.append, steps.append,
                                          outputs.append)
@@ -251,58 +251,37 @@ def _run_programs(length: int, start: int, count: int, budget: int,
         add_output(output_string(store) if h else "")
 
 
-def _sweep_chunk(task) -> tuple[SummaryFold, list[bool], list[int],
-                                list[str]]:
-    """Run every program of one task into three lists (halted flags, steps,
-    outputs) and fold them at once: ``(fold, halted, steps, outputs)``."""
+def _summary_task(task) -> SummaryFold:
+    """Run every program of one task and fold its rows."""
     length, start, count, base, budget, exact_budget = task
-    columns = halted, steps, outputs = [], [], []
+    columns = [], [], []
     _run_programs(length, start, count, budget,
                   run if exact_budget else classify, *columns)
-    fold = SummaryFold.of_slice(length, range(base, base + count), *columns)
-    return fold, halted, steps, outputs
+    return SummaryFold.of_slice(length, range(base, base + count), *columns)
 
 
-def _summary_task(task) -> SummaryFold:
-    return _sweep_chunk(task)[0]
-
-
-# The Assign columns of the last (length, budget) asked for, keyed also by
-# the VM functions that built them, so that a wrapper put on either builds
-# its own.  One entry: a pool worker builds each length's columns once.
-_assign_cache: dict[tuple, list[tuple]] = {}
-
-
-def _assign_columns(length: int, budget: int) -> list[tuple]:
+# One entry: a pool worker builds each length's columns once.  Both VM
+# functions are in the key, so a wrapper on either builds its own columns;
+# ``output_string`` is only there, as ``_run_programs`` looks it up itself
+@lru_cache(maxsize=1)
+def _assign_columns(length: int, budget: int, execute: Callable,
+                    output_string: Callable) -> list[tuple]:
     """The splits of one length's ``x[i] := A`` block, each as
-    ``(first rank, end rank, A trees, (halted, steps, outputs))``, the
-    three columns holding one entry per A tree in rank order.
+    ``(first rank, end rank, A trees, (halted, steps, outputs))``.
 
     From the empty store ``x[i] := A`` costs ``1 + expression_cost(A)``
-    and stores the value of ``A``, or is cut off over the budget, and its
-    output does not depend on ``i``.  So ``classify(x[0] := A)`` answers
-    for every register head, and a split, whose ranks run head-major,
-    repeats its column once per head.  The block, where there is one,
-    starts at rank 0: ``skip``, the one alternative before it, has
-    length 1."""
-    key = (length, budget, classify, vm.output_string)
-    splits = _assign_cache.get(key)
-    if splits is not None:
-        return splits
-    output_string = vm.output_string
+    and stores the value of ``A``, or is cut off over the budget, whatever
+    ``i`` is.  A split's ranks run register first, so its first programs
+    pair its lowest register with each ``A`` in rank order; their rows,
+    from ``_run_programs``, are the column of every register.  The block, where there is one, starts at rank 0: ``skip``,
+    the one alternative before it, has length 1."""
     splits = []
     if _alt_offsets("P", length)[1][:1] == (1,):  # Assign, P's second
-        starts, head_lens, tails = _split_offsets(("X", "A"), length - 1)
-        for i, head_len in enumerate(head_lens):
-            columns = halted, steps, outputs = [], [], []
-            for tree in _iter_in_length("A", length - 1 - head_len):
-                h, s, store = classify(Assign(0, tree), budget)
-                halted.append(h)
-                steps.append(s)
-                outputs.append(output_string(store) if h else "")
-            splits.append((starts[i], starts[i + 1], tails[i], columns))
-    _assign_cache.clear()
-    _assign_cache[key] = splits
+        starts, _, tails = _split_offsets(("X", "A"), length - 1)
+        for first, end, trees in zip(starts, starts[1:], tails):
+            columns = [], [], []
+            _run_programs(length, first, trees, budget, execute, *columns)
+            splits.append((first, end, trees, columns))
     return splits
 
 
@@ -311,27 +290,25 @@ def _record_task(task) -> tuple[SummaryFold, str]:
     the ``records.csv`` lines ``position,length,halted,steps,output``:
     ``(fold, text)``.
 
-    The task's ``x[i] := A`` programs take their rows from the columns of
-    ``_assign_columns``; every other program runs, and with
-    ``exact_budget`` every program runs through ``run``."""
+    Every row comes from ``_run_programs``: unless ``exact_budget`` is
+    set, the ``x[i] := A`` rows through the columns of ``_assign_columns``,
+    the rest from one call here.  ``_summary_task`` takes no columns: it still makes one VM call
+    per program (ROADMAP items 1 and 4)."""
     length, start, count, base, budget, exact_budget = task
-    if exact_budget:
-        fold, halted, steps, outputs = _sweep_chunk(task)
-    else:
-        columns = halted, steps, outputs = [], [], []
-        rank, stop = start, start + count
-        for first, end, trees, split in _assign_columns(length, budget):
-            n = min(stop, end) - rank
-            if n > 0:
-                offset = (rank - first) % trees
-                for column, part in zip(columns, split):
-                    column.extend(islice(cycle(part), offset, offset + n))
-                rank += n
-        if rank < stop:
-            _run_programs(length, rank, stop - rank, budget, classify,
-                          *columns)
-        fold = SummaryFold.of_slice(length, range(base, base + count),
-                                    *columns)
+    columns = halted, steps, outputs = [], [], []
+    rank, stop = start, start + count
+    splits = () if exact_budget else _assign_columns(length, budget, classify,
+                                                     vm.output_string)
+    for first, end, trees, split in splits:
+        n = min(stop, end) - rank
+        if n > 0:
+            offset = (rank - first) % trees
+            for column, part in zip(columns, split):
+                column.extend(islice(cycle(part), offset, offset + n))
+            rank += n
+    _run_programs(length, rank, stop - rank, budget,
+                  run if exact_budget else classify, *columns)
+    fold = SummaryFold.of_slice(length, range(base, base + count), *columns)
     tags = (f",{length},false,", f",{length},true,")
     return fold, "".join([f"{position}{tags[h]}{s},{output}\n"
                           for position, h, s, output

@@ -448,6 +448,34 @@ def test_audit_recheck_fails_positions_past_the_space(tmp_path, capsys,
     assert report["rechecked"] == 4 and report["recheck_failures"] == 4
 
 
+def test_audit_recheck_rejects_a_length_past_the_rows(tmp_path, capsys,
+                                                     monkeypatch):
+    # no digest covers manifest.json, so an edited max_length must not
+    # make the recheck build the offsets of that length
+    out_dir = tmp_path / "sweep3"
+    run_cli(capsys, "sweep", "--max-length", "3", "--records",
+            "--out", str(out_dir))
+    manifest = json.loads((out_dir / "manifest.json").read_text())
+    count = cli.cumulative_count
+
+    def bounded(length):
+        assert length <= 3, f"counted programs up to length {length}"
+        return count(length)
+
+    monkeypatch.setattr(cli, "cumulative_count", bounded)
+
+    def audit(max_length):
+        manifest["config"]["max_length"] = max_length
+        (out_dir / "manifest.json").write_text(json.dumps(manifest))
+        return run_cli(capsys, "audit", str(out_dir), "--recheck", "2")
+
+    for max_length in (400, 10 ** 6):
+        code, _, err = audit(max_length)
+        assert code == EXIT_INTEGRITY, max_length
+        assert "error[integrity]" in err
+    assert audit(3)[0] == EXIT_OK
+
+
 def test_audit_rejects_negative_recheck(tmp_path, capsys):
     out_dir = tmp_path / "sweep3"
     run_cli(capsys, "sweep", "--max-length", "3", "--records",
@@ -629,17 +657,27 @@ def test_sweep_records_runs_each_program_once(tmp_path, capsys, monkeypatch):
     # the blocks' 1,900 + 100 programs take their rows from the 110 + 10
     # A trees they pair with a register, each run once.  A second pass
     # over the space would make at least 2,232 calls
+    def sweep(out, *extra):
+        return run_cli(capsys, "sweep", "--max-length", "5", "--records",
+                       *extra, "--workers", "1", "--out", str(tmp_path / out))
+
+    # an unwrapped sweep leaves the length-5 columns cached, whatever ran
+    # before; a wrapper asking for them next must build its own.  A sweep
+    # asks for lengths 1-4 first, so the length-5 task alone shows it
+    code, _, _ = sweep("unwrapped")
+    assert code == EXIT_OK
     calls = _count_calls(monkeypatch, "classify")
-    code, _, _ = run_cli(capsys, "sweep", "--max-length", "5", "--records",
-                         "--workers", "1", "--out", str(tmp_path / "a"))
+    explorer._record_task(explorer._plan(5, 10_000, 1, False)[-1])
+    assert len(calls) == 224 + 110
+
+    calls.clear()
+    code, _, _ = sweep("a")
     assert code == EXIT_OK
     assert len(calls) == 352 < 2_232
 
     calls.clear()
     exact_calls = _count_calls(monkeypatch, "run")
-    code, _, _ = run_cli(capsys, "sweep", "--max-length", "5", "--records",
-                         "--exact-budget", "--workers", "1",
-                         "--out", str(tmp_path / "b"))
+    code, _, _ = sweep("b", "--exact-budget")
     assert code == EXIT_OK
     assert len(exact_calls) == 2_232 and not calls
 

@@ -276,21 +276,24 @@ def test_pickled_task_folds_merge_to_the_sweep():
 
 def test_record_task_folds_assign_blocks_exactly(monkeypatch):
     # the records task takes the x[i] := A rows from one run per A tree;
-    # it has to give the fold and the text of running every program.  At
-    # the smallest budgets the Assign rows whose A costs more are cut off,
-    # a chunk size of 997 cuts tasks inside the splits of every block, and
-    # each task runs at every budget in turn, so that columns kept from
-    # another budget would show
+    # it has to give the text of running every program and the fold of
+    # the summary task, which does.  At the smallest budgets the Assign
+    # rows whose A costs more are cut off, a chunk size of 997 cuts tasks
+    # inside the splits of every block, and each task runs at every budget
+    # in turn, so that columns kept from another budget would show
     for chunk, budgets in ((4_096, (*range(1, 21), 10_000)),
                            (997, (3, 10_000))):
         monkeypatch.setattr(explorer, "_CHUNK", chunk)
         tasks = [task for budget in budgets
                  for task in explorer._plan(6, budget, 1, False)]
         for task in sorted(tasks, key=lambda task: task[:2]):
-            length, _, count, base = task[:4]
+            length, start, count, base, budget, _ = task
             fold, text = explorer._record_task(task)
-            want, halted, steps, outputs = explorer._sweep_chunk(task)
-            assert _fields(fold) == _fields(want), (chunk, task)
+            halted, steps, outputs = [], [], []
+            explorer._run_programs(length, start, count, budget, classify,
+                                   halted, steps, outputs)
+            assert _fields(fold) == _fields(explorer._summary_task(task)), \
+                (chunk, task)
             assert text == "".join(
                 f"{position},{length},{'true' if h else 'false'},{s},{out}\n"
                 for position, h, s, out in zip(range(base, base + count),

@@ -1,13 +1,16 @@
-"""Source hygiene: no module of the package imports a name it never uses.
+"""Source hygiene: no module of the package imports a name it never uses,
+and none defines a top-level function or class that nothing names.
 
 The re-exports of ``__init__.py`` are exempt, and so is an import statement
 marked ``# noqa: F401`` (a name kept importable for code that patches it).
 """
 
 import ast
+import re
 from pathlib import Path
 
-SRC = Path(__file__).resolve().parent.parent / "src" / "impspace"
+ROOT = Path(__file__).resolve().parent.parent
+SRC = ROOT / "src" / "impspace"
 
 
 def unused_imports(source: str) -> list[str]:
@@ -46,3 +49,47 @@ def test_guard_flags_an_unused_import():
               "from operator import attrgetter  # noqa: F401\n"
               "rows = list(islice(os.path.sep, 1))\n")
     assert unused_imports(source) == ["3: groupby"]
+
+
+def dead_definitions(source: str, others: list[str]) -> list[str]:
+    """``"line: name"`` for each top-level ``def`` or ``class`` of the
+    source that neither the rest of it nor any of ``others`` names."""
+    lines = source.splitlines()
+    dead = []
+    for node in ast.parse(source).body:
+        if not isinstance(node, (ast.FunctionDef, ast.AsyncFunctionDef,
+                                 ast.ClassDef)):
+            continue
+        first = min([node.lineno, *(d.lineno for d in node.decorator_list)])
+        rest = "\n".join(lines[:first - 1] + lines[node.end_lineno:])
+        pattern = re.compile(rf"\b{node.name}\b")
+        if not any(map(pattern.search, [rest, *others])):
+            dead.append(f"{node.lineno}: {node.name}")
+    return dead
+
+
+def test_modules_define_nothing_dead():
+    texts = {path: path.read_text()
+             for folder in ("src", "tests", "perfbench")
+             for path in sorted((ROOT / folder).rglob("*.py"))}
+    found = {path.name: dead_definitions(
+                 text, [other for p, other in texts.items() if p != path])
+             for path, text in texts.items()
+             if path.parent == SRC and path.name != "__init__.py"}
+    assert "explorer.py" in found
+    assert {name: names for name, names in found.items() if names} == {}
+
+
+def test_guard_flags_a_dead_definition():
+    source = ("from functools import cache\n"
+              "def _task(task):\n"
+              "    return _task(task[1:]) if task else ()\n"
+              "@cache\n"
+              "def _helper():\n"
+              "    pass\n"
+              "class Kept:\n"
+              "    pass\n"
+              "def _summary_task():\n"
+              "    return _helper()\n")
+    assert dead_definitions(source, ["Kept()", "_summary_task"]) == \
+        ["2: _task"]
