@@ -219,6 +219,8 @@ def _plan(max_length: int, budget: int, workers: int,
           exact_budget: bool) -> list[tuple]:
     """Cut every length block into self-contained sweep tasks of at most
     ``_CHUNK`` programs each."""
+    if max_length < 1:
+        raise ValueError("max_length must be at least 1")
     if budget < 1:
         raise ValueError("budget must be at least 1")
     if workers < 1:
@@ -273,8 +275,9 @@ def _assign_columns(length: int, budget: int, execute: Callable,
     and stores the value of ``A``, or is cut off over the budget, whatever
     ``i`` is.  A split's ranks run register first, so its first programs
     pair its lowest register with each ``A`` in rank order; their rows,
-    from ``_run_programs``, are the column of every register.  The block, where there is one, starts at rank 0: ``skip``,
-    the one alternative before it, has length 1."""
+    from ``_run_programs``, are the column of every register.  The block,
+    where there is one, starts at rank 0: ``skip``, the one alternative
+    before it, has length 1."""
     splits = []
     if _alt_offsets("P", length)[1][:1] == (1,):  # Assign, P's second
         starts, _, tails = _split_offsets(("X", "A"), length - 1)
@@ -292,8 +295,8 @@ def _record_task(task) -> tuple[SummaryFold, str]:
 
     Every row comes from ``_run_programs``: unless ``exact_budget`` is
     set, the ``x[i] := A`` rows through the columns of ``_assign_columns``,
-    the rest from one call here.  ``_summary_task`` takes no columns: it still makes one VM call
-    per program (ROADMAP items 1 and 4)."""
+    the rest from one call here.  ``_summary_task`` takes no columns: it
+    still makes one VM call per program (ROADMAP items 1 and 4)."""
     length, start, count, base, budget, exact_budget = task
     columns = halted, steps, outputs = [], [], []
     rank, stop = start, start + count

@@ -270,43 +270,39 @@ def string_to_nat(bits: str) -> int:
 # Rendering
 # ---------------------------------------------------------------------------
 
-def render_arith(a: Arith) -> str:
-    match a:
-        case Num(value):
-            return str(value)
-        case Reg(index):
-            return f"x[{index}]"
-        case Add(left, right):
-            return f"({render_arith(left)} + {render_arith(right)})"
-        case Sub(left, right):
-            return f"({render_arith(left)} - {render_arith(right)})"
-        case Mul(left, right):
-            return f"({render_arith(left)} * {render_arith(right)})"
-    raise TypeError(f"not an arithmetic expression: {a!r}")
+# The one map between operator symbols and node classes: each binary
+# operator's class and the kind of both its operands, "A" (arithmetic) or
+# "B" (boolean).  The kind of the node it builds is its class's.
+_BINARY = {"+": (Add, "A"), "-": (Sub, "A"), "*": (Mul, "A"),
+           "=": (Eq, "A"), "<": (Lt, "A"), "∨": (Or, "B"), "∧": (And, "B")}
+_OPERATOR = {cls: (symbol, operand)
+             for symbol, (cls, operand) in _BINARY.items()}
+_KIND = {**dict.fromkeys(Arith.__args__, "A"),
+         **dict.fromkeys(Bool.__args__, "B")}
+_ARTICLE = {"A": "an arithmetic", "B": "a boolean", None: "an"}
 
 
-def render_bool(b: Bool) -> str:
-    match b:
-        case TrueLit():
-            return "true"
-        case FalseLit():
-            return "false"
-        case Eq(left, right):
-            return f"({render_arith(left)} = {render_arith(right)})"
-        case Lt(left, right):
-            return f"({render_arith(left)} < {render_arith(right)})"
-        case Not():
-            # a chain of negations renders in a loop, so that any depth
-            # the parser accepts renders back
-            depth = 0
-            while isinstance(b, Not):
-                b, depth = b.operand, depth + 1
-            return "¬" * depth + render_bool(b)
-        case Or(left, right):
-            return f"({render_bool(left)} ∨ {render_bool(right)})"
-        case And(left, right):
-            return f"({render_bool(left)} ∧ {render_bool(right)})"
-    raise TypeError(f"not a boolean expression: {b!r}")
+def _render_expr(e: Arith | Bool, kind: str) -> str:
+    """Text of an expression of ``kind``; TypeError for any other node."""
+    t = type(e)
+    if _KIND.get(t) != kind:
+        raise TypeError(f"not {_ARTICLE[kind]} expression: {e!r}")
+    if t is Num:
+        return str(e.value)
+    if t is Reg:
+        return f"x[{e.index}]"
+    if t is TrueLit or t is FalseLit:
+        return "true" if t is TrueLit else "false"
+    if t is Not:
+        # a chain of negations renders in a loop, so that any depth the
+        # parser accepts renders back
+        depth = 0
+        while type(e) is Not:
+            e, depth = e.operand, depth + 1
+        return "¬" * depth + _render_expr(e, "B")
+    symbol, operand = _OPERATOR[t]
+    return (f"({_render_expr(e.left, operand)} {symbol} "
+            f"{_render_expr(e.right, operand)})")
 
 
 def render(p: Program) -> str:
@@ -315,13 +311,14 @@ def render(p: Program) -> str:
         case Skip():
             return "skip"
         case Assign(target, value):
-            return f"x[{target}] := {render_arith(value)}"
+            return f"x[{target}] := {_render_expr(value, 'A')}"
         case Seq(first, second):
             return f"({render(first)}; {render(second)})"
         case If(cond, then, orelse):
-            return f"(if {render_bool(cond)} then {render(then)} else {render(orelse)})"
+            return (f"(if {_render_expr(cond, 'B')} then {render(then)} "
+                    f"else {render(orelse)})")
         case While(cond, body):
-            return f"(while {render_bool(cond)} do {render(body)})"
+            return f"(while {_render_expr(cond, 'B')} do {render(body)})"
     raise TypeError(f"not a program: {p!r}")
 
 
@@ -338,11 +335,16 @@ class ImpSyntaxError(ValueError):
 
 
 _KEYWORDS = {"skip", "if", "then", "else", "while", "do", "true", "false", "x"}
-
-# Multi-character symbols first so maximal munch applies.
-_SYMBOLS = (":=", "||", "&&", ";", "=", "<", "+", "-", "*", "(", ")", "[", "]",
-            "¬", "∨", "∧", "!")
 _ALIASES = {"!": "¬", "||": "∨", "&&": "∧"}
+# No symbol is a prefix of another, so the first one that matches is the
+# longest.
+_SYMBOLS = (":=", ";", "(", ")", "[", "]", "¬", *_BINARY, *_ALIASES)
+
+# Levels of program and expression nesting the parser reads, whoever calls
+# it.  The readers of a tree (render, program_length, expression_cost,
+# eval_*) recurse once per level too; this leaves them and the caller
+# about 300 of Python's default 1,000 frames.
+_MAX_NESTING = 700
 
 
 def _tokenize(text: str) -> list[tuple[str, int]]:
@@ -386,10 +388,14 @@ def _tokenize(text: str) -> list[tuple[str, int]]:
 
 
 class _Parser:
-    def __init__(self, text: str):
+    """Recursive descent in one pass over the tokens, never rewinding."""
+
+    def __init__(self, text: str, what: str):
         self.text = text
+        self.what = what
         self.tokens = _tokenize(text)
         self.pos = 0
+        self.depth = 0
 
     def peek(self) -> str | None:
         if self.pos < len(self.tokens):
@@ -403,13 +409,6 @@ class _Parser:
 
     def fail(self, message: str):
         raise ImpSyntaxError(message, self.offset())
-
-    def take(self) -> str:
-        tok = self.peek()
-        if tok is None:
-            self.fail("unexpected end of input")
-        self.pos += 1
-        return tok
 
     def expect(self, wanted: str) -> None:
         tok = self.peek()
@@ -431,111 +430,91 @@ class _Parser:
         self.expect("]")
         return index
 
+    def nest(self) -> None:
+        """Go one level deeper; the rule that calls this steps back out
+        when it returns."""
+        self.depth += 1
+        if self.depth > _MAX_NESTING:
+            self.fail(f"{self.what} nested too deeply")
+
     def program(self) -> Program:
+        self.nest()
         tok = self.peek()
         if tok == "skip":
             self.pos += 1
-            return SKIP
-        if tok == "x":
+            node = SKIP
+        elif tok == "x":
             target = self.register()
             self.expect(":=")
-            return Assign(target, self.arith())
-        if tok == "(":
+            node = Assign(target, self.expr("A"))
+        elif tok == "(":
             self.pos += 1
             inner = self.peek()
             if inner == "if":
                 self.pos += 1
-                cond = self.boolean()
+                cond = self.expr("B")
                 self.expect("then")
                 then = self.program()
                 self.expect("else")
-                orelse = self.program()
-                self.expect(")")
-                return If(cond, then, orelse)
-            if inner == "while":
+                node = If(cond, then, self.program())
+            elif inner == "while":
                 self.pos += 1
-                cond = self.boolean()
+                cond = self.expr("B")
                 self.expect("do")
-                body = self.program()
-                self.expect(")")
-                return While(cond, body)
-            first = self.program()
-            self.expect(";")
-            second = self.program()
+                node = While(cond, self.program())
+            else:
+                first = self.program()
+                self.expect(";")
+                node = Seq(first, self.program())
             self.expect(")")
-            return Seq(first, second)
-        self.fail(f"expected a program, found {tok!r}")
+        else:
+            self.fail(f"expected a program, found {tok!r}")
+        self.depth -= 1
+        return node
 
-    def arith(self) -> Arith:
+    def expr(self, kind: str | None) -> Arith | Bool:
+        """An expression of ``kind``: "A", "B", or None for either.
+
+        Behind ``(`` the left operand is read first, as arithmetic where
+        arithmetic is wanted (only arithmetic operators make it), else of
+        either kind.  The operator then fixes the kind of both operands
+        and of the result; both are checked there, once."""
+        self.nest()
         tok = self.peek()
-        if tok is not None and tok.isdigit():
-            return Num(self.numeral())
-        if tok == "x":
-            return Reg(self.register())
         if tok == "(":
             self.pos += 1
-            left = self.arith()
-            op = self.take()
-            if op not in ("+", "-", "*"):
-                self.pos -= 1
-                self.fail(f"expected arithmetic operator, found {op!r}")
-            right = self.arith()
+            left = self.expr("A" if kind == "A" else None)
+            op = self.peek()
+            # the operators that take this left operand and make this kind
+            fits = [s for s, (c, o) in _BINARY.items()
+                    if o == _KIND[type(left)] and kind in (None, _KIND[c])]
+            if op not in fits:
+                self.fail(f"expected one of {' '.join(fits)}, found {op!r}")
+            self.pos += 1
+            cls, operand = _BINARY[op]
+            node = cls(left, self.expr(operand))
             self.expect(")")
-            if op == "+":
-                return Add(left, right)
-            if op == "-":
-                return Sub(left, right)
-            return Mul(left, right)
-        self.fail(f"expected an arithmetic expression, found {tok!r}")
-
-    def boolean(self) -> Bool:
-        tok = self.peek()
-        if tok == "true":
+        elif tok is not None and tok.isdigit() and kind != "B":
+            node = Num(self.numeral())
+        elif tok == "x" and kind != "B":
+            node = Reg(self.register())
+        elif tok in ("true", "false") and kind != "A":
             self.pos += 1
-            return TRUE
-        if tok == "false":
+            node = TRUE if tok == "true" else FALSE
+        elif tok == "¬" and kind != "A":
             self.pos += 1
-            return FALSE
-        if tok == "¬":
-            self.pos += 1
-            return Not(self.boolean())
-        if tok == "(":
-            # '(' may open an arithmetic comparison or a boolean connective;
-            # try the comparison, and on failure rewind and take the other path.
-            mark = self.pos
-            try:
-                self.pos += 1
-                left = self.arith()
-                op = self.take()
-                if op not in ("=", "<"):
-                    self.pos -= 1
-                    self.fail(f"expected comparison operator, found {op!r}")
-                right = self.arith()
-                self.expect(")")
-                return Eq(left, right) if op == "=" else Lt(left, right)
-            except ImpSyntaxError as arith_err:
-                self.pos = mark
-                try:
-                    self.pos += 1
-                    left_b = self.boolean()
-                    op = self.take()
-                    if op not in ("∨", "∧"):
-                        self.pos -= 1
-                        self.fail(f"expected boolean operator, found {op!r}")
-                    right_b = self.boolean()
-                    self.expect(")")
-                    return Or(left_b, right_b) if op == "∨" else And(left_b, right_b)
-                except ImpSyntaxError as bool_err:
-                    raise (bool_err if bool_err.position >= arith_err.position
-                           else arith_err) from None
-        self.fail(f"expected a boolean expression, found {tok!r}")
+            node = Not(self.expr("B"))
+        else:
+            self.fail(f"expected {_ARTICLE[kind]} expression, found {tok!r}")
+        self.depth -= 1
+        return node
 
 
-def _parse_whole(text: str, rule, what: str):
-    """Parse all of ``text`` with one grammar rule of ``_Parser``."""
-    parser = _Parser(text)
+def _parse_whole(text: str, what: str, rule, *args):
+    """Parse all of ``text`` as one ``what`` with a rule of ``_Parser``."""
+    parser = _Parser(text, what)
     try:
-        tree = rule(parser)
+        tree = rule(parser, *args)
     except RecursionError:
         raise ImpSyntaxError(f"{what} nested too deeply",
                              parser.offset()) from None
@@ -551,14 +530,16 @@ def parse(text: str) -> Program:
     and ``&&`` are accepted for ``¬``, ``∨`` and ``∧`` (the renderer always
     emits the canonical glyphs).  Raises ImpSyntaxError, with the text
     offset, for anything outside the grammar, including numerals with
-    leading zeros.
+    leading zeros, and for text nested more than 700 levels deep
+    (``_MAX_NESTING``), counting each program and expression inside
+    another as one level.
     """
-    return _parse_whole(text, _Parser.program, "program")
+    return _parse_whole(text, "program", _Parser.program)
 
 
 def parse_arith(text: str) -> Arith:
-    return _parse_whole(text, _Parser.arith, "expression")
+    return _parse_whole(text, "expression", _Parser.expr, "A")
 
 
 def parse_bool(text: str) -> Bool:
-    return _parse_whole(text, _Parser.boolean, "expression")
+    return _parse_whole(text, "expression", _Parser.expr, "B")

@@ -4,6 +4,8 @@ import errno
 import hashlib
 import json
 import re
+import shlex
+from pathlib import Path
 
 import pytest
 
@@ -97,27 +99,28 @@ def test_deep_nesting_is_a_syntax_error(capsys):
 
 
 def test_rank_of_deeply_nested_program(capsys):
-    # the parser takes nesting to about 990 levels; ranking any text it
-    # accepts must not hit the recursion limit
+    # the parser reads 700 levels of nesting, whoever calls it; ranking
+    # any text it accepts must not hit the recursion limit
     for base in ((), ("--base",)):
         ranks = []
-        for depth in (450, 500, 600, 990):
+        for depth in (450, 500, 600):
             text = "(while " + "¬" * depth + "true do skip)"
             code, out, err = run_cli(capsys, "rank", text, *base)
             assert "Traceback" not in err
-            if code == EXIT_SYNTAX:  # past the parser's own limit
-                assert depth == 990, (depth, base)
-                assert "error[syntax]: program nested too deeply" in err
-                continue
             assert code == EXIT_OK, (depth, base)
             ranks.append(int(out))
         # one more negation lengthens the program or grows its payload
-        assert ranks == sorted(ranks) and len(ranks) >= 3
+        assert ranks == sorted(ranks)
+        text = "(while " + "¬" * 990 + "true do skip)"
+        code, _, err = run_cli(capsys, "rank", text, *base)
+        assert code == EXIT_SYNTAX, base
+        assert "error[syntax]: program nested too deeply" in err
+        assert "Traceback" not in err
 
 
 def test_unrank_of_deeply_nested_program(capsys):
-    # built directly, since the parser's own limit depends on how deep
-    # the stack already is; unranking must not depend on it at all
+    # built directly, since 990 levels is past the parser's limit;
+    # unranking must not depend on it at all
     for depth in (600, 990):
         cond = TRUE
         for _ in range(depth):
@@ -575,12 +578,15 @@ def test_sweep_records_reach_the_disk_chunk_by_chunk(tmp_path, capsys,
 
 def test_failed_sweep_leaves_nothing_behind(tmp_path, capsys, monkeypatch):
     out_dir = tmp_path / "out"
-    for flag in ("--budget", "--workers"):
+    for flag in ("--max-length", "--budget", "--workers"):  # the last wins
         code, _, err = run_cli(capsys, "sweep", "--max-length", "2", flag,
                                "0", "--records", "--out", str(out_dir))
         assert code == EXIT_CONFIG, flag
         assert "error[config]" in err
         assert not out_dir.exists()
+    code, _, err = run_cli(capsys, "ctm", "--max-length", "0")
+    assert code == EXIT_CONFIG
+    assert "error[config]: max_length must be at least 1" in err
 
     code, _, _ = run_cli(capsys, "sweep", "--max-length", "4", "--records",
                          "--out", str(out_dir))
@@ -791,3 +797,46 @@ def test_manifest_lists_exactly_the_written_files(tmp_path, capsys):
             {*files, "manifest.json"}, argv
         for name, info in files.items():
             assert info["bytes"] == (out_dir / name).stat().st_size, name
+
+
+def readme_examples() -> list[tuple[str, list[str]]]:
+    """Each ``$ impspace ...`` line of the README's code blocks with the
+    lines shown under it, up to the next ``$`` line or the block's end.
+
+    Blocks that elide output with ``...`` and commands that touch
+    ``runs/`` (files earlier examples would have written) are left out."""
+    readme = Path(__file__).resolve().parent.parent / "README.md"
+    blocks, block = [], None
+    for line in readme.read_text().splitlines():
+        if line.startswith("```"):
+            if block is not None:
+                blocks.append(block)
+            block = [] if block is None else None
+        elif block is not None:
+            block.append(line)
+    examples = []
+    for block in blocks:
+        if any("..." in line for line in block):
+            continue
+        shown = None  # the output lines of the example being read
+        for line in block:
+            if line.startswith("$ "):
+                shown = None
+                if line.startswith("$ impspace ") and "runs/" not in line:
+                    shown = []
+                    examples.append((line[2:], shown))
+            elif shown is not None:
+                shown.append(line)
+    return examples
+
+
+def test_readme_cli_examples(capsys):
+    examples = readme_examples()
+    assert [shlex.split(c)[1] for c, _ in examples] == \
+        ["count", "unrank", "rank", "rank", "run", "ctm", "family"]
+    for command, shown in examples:
+        command, _, head = command.partition(" | head -")
+        code, out, _ = run_cli(capsys, *shlex.split(command)[1:])
+        assert code == EXIT_OK, command
+        lines = out.splitlines()
+        assert (lines[:int(head)] if head else lines) == shown, command

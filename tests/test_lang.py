@@ -164,6 +164,23 @@ def test_parse_error_positions():
         parse("foo")
 
 
+# ill-kinded texts, each with the offset where no reading of it is left
+ILL_KINDED = [
+    (parse_bool, "((1 = 1) + 2)", 9),
+    (parse_bool, "(1 ∨ true)", 3),
+    (parse_bool, "¬1", 1),
+    (parse_bool, "((1 + 1) ∧ true)", 9),
+    (parse_bool, "(true = true)", 6),
+    (parse_bool, "((1 + 1) = (1 = 1))", 14),
+    (parse_arith, "(1 = 2)", 3),
+    (parse_arith, "(true + 1)", 1),
+    (parse, "x[0] := true", 8),
+    (parse, "(while 1 do skip)", 7),
+    (parse, "(x[0] := 1; x[1] := (1 = 2))", 23),
+    (parse, "(if (1 < 2) then skip else x[0] := ¬true)", 35),
+]
+
+
 def test_parse_boolean_backtracking():
     # both comparison and connective shapes behind the same '('
     assert parse_bool("((1 + 1) = 2)") == Eq(Add(Num(1), Num(1)), Num(2))
@@ -171,6 +188,31 @@ def test_parse_boolean_backtracking():
         And(Eq(Num(1), Num(1)), Eq(Num(2), Num(2)))
     with pytest.raises(ImpSyntaxError):
         parse_bool("((1 = 1) + 2)")
+    for rule, text, position in ILL_KINDED:
+        with pytest.raises(ImpSyntaxError) as exc:
+            rule(text)
+        assert exc.value.position == position, (rule.__name__, text)
+
+
+def test_parse_reads_each_text_in_one_pass(monkeypatch):
+    # a parser that tries one reading and rewinds to another raises and
+    # catches a syntax error on the way; one that reads once raises none
+    raised = []
+    init = ImpSyntaxError.__init__
+
+    def counting_init(self, message, position):
+        raised.append(message)
+        init(self, message, position)
+
+    monkeypatch.setattr(ImpSyntaxError, "__init__", counting_init)
+    programs = bruteforce.programs_up_to(5)
+    assert len(programs) == 2232
+    for p in programs:
+        parse(render(p))
+    assert raised == []
+    with pytest.raises(ImpSyntaxError):
+        parse("x[0] := true")
+    assert len(raised) == 1  # the counter sees a real error
 
 
 # ---------------------------------------------------------------------------
