@@ -9,8 +9,9 @@ is the cutoff, with the ECDF and tail quantiles as supporting statistics.
 
 All parameters are exact rationals (pass decimal strings or Fractions;
 floats are taken at their exact binary value).  The sample-size ceiling
-is certified by interval arithmetic, so the returned integer is the true
-mathematical ceiling, not a double-precision approximation.
+is certified from correctly rounded ``decimal`` logarithms, so the
+returned integer is the true mathematical ceiling, not a double-precision
+approximation.
 """
 
 from __future__ import annotations
@@ -18,8 +19,9 @@ from __future__ import annotations
 import bisect
 from collections import Counter
 from dataclasses import dataclass
+from decimal import ROUND_HALF_EVEN, Context
 from fractions import Fraction
-from math import exp
+from math import ceil, exp
 
 from .enumeration import cumulative_count, unrank_canonical
 from .lang import program_length
@@ -27,10 +29,6 @@ from .parallel import ordered_map
 from .vm import classify
 
 _MASK64 = (1 << 64) - 1
-
-
-def _to_fraction(x: Fraction | str | float | int) -> Fraction:
-    return x if isinstance(x, Fraction) else Fraction(x)
 
 
 @dataclass(frozen=True, slots=True)
@@ -42,9 +40,9 @@ class EstimationParams:
     delta: Fraction
 
     def __post_init__(self):
-        object.__setattr__(self, "epsilon", _to_fraction(self.epsilon))
-        object.__setattr__(self, "lam", _to_fraction(self.lam))
-        object.__setattr__(self, "delta", _to_fraction(self.delta))
+        object.__setattr__(self, "epsilon", Fraction(self.epsilon))
+        object.__setattr__(self, "lam", Fraction(self.lam))
+        object.__setattr__(self, "delta", Fraction(self.delta))
         if not 0 < self.lam < self.epsilon < 1:
             raise ValueError("need 0 < lam < epsilon < 1")
         if not 0 < self.delta < 1:
@@ -56,37 +54,39 @@ def sample_size(lam: Fraction | str | float,
     """Halting programs needed: the exact ceiling of ln(1/delta)/(2*lam**2).
 
     The quotient is irrational for rational parameters, so a certified
-    ceiling always exists; precision is raised until the enclosing
-    interval pins down a single integer.
+    ceiling always exists.  ``Decimal.ln`` is correctly rounded, so each
+    true logarithm lies between the neighbours of its rounded value; the
+    precision is doubled until both ends of the interval that encloses
+    the quotient share a ceiling.  The caller's context is never used.
     """
-    import mpmath  # only here: it weighs more than the rest of the package
-    from mpmath import iv
-
-    lam = _to_fraction(lam)
-    delta = _to_fraction(delta)
+    lam = Fraction(lam)
+    delta = Fraction(delta)
     if not 0 < lam < 1:
         raise ValueError("lam must lie in (0, 1)")
     if not 0 < delta < 1:
         raise ValueError("delta must lie in (0, 1)")
-    saved = iv.dps
-    try:
-        iv.dps = 30
-        while True:
-            inv_delta = iv.mpf(delta.denominator) / iv.mpf(delta.numerator)
-            lam_iv = iv.mpf(lam.numerator) / iv.mpf(lam.denominator)
-            value = iv.log(inv_delta) / (2 * lam_iv ** 2)
-            lo = int(mpmath.ceil(value.a))
-            hi = int(mpmath.ceil(value.b))
-            if lo == hi:
-                return lo
-            iv.dps *= 2
-    finally:
-        iv.dps = saved
+    scale = 2 * lam * lam
+    prec = 30
+    while True:
+        ctx = Context(prec=prec, rounding=ROUND_HALF_EVEN, traps=[])
+
+        def ln(term: int):  # ln(1) is exactly 0, not between tiny neighbours
+            if term == 1:
+                return 0, 0
+            log = ctx.ln(term)
+            return Fraction(ctx.next_minus(log)), Fraction(ctx.next_plus(log))
+
+        (den_lo, den_hi), (num_lo, num_hi) = map(
+            ln, (delta.denominator, delta.numerator))
+        lo = ceil((den_lo - num_hi) / scale)
+        if lo == ceil((den_hi - num_lo) / scale):
+            return lo
+        prec *= 2
 
 
 def confidence_from_sample(n: int, lam: Fraction | str | float) -> float:
     """Confidence complement achieved by n halting samples: exp(-2*n*lam**2)."""
-    lam = _to_fraction(lam)
+    lam = Fraction(lam)
     if n < 1:
         raise ValueError("sample size must be at least 1")
     if not 0 < lam < 1:
@@ -107,7 +107,7 @@ def quantile(runtimes, q: Fraction | str | float) -> int:
     data = sorted(runtimes)
     if not data:
         raise ValueError("empty sample")
-    q = _to_fraction(q)
+    q = Fraction(q)
     if not 0 < q <= 1:
         raise ValueError("quantile level must lie in (0, 1]")
     # index of the smallest order statistic covering mass q

@@ -1,5 +1,6 @@
 """Sample-size arithmetic, ECDF, PRNG, and halting-sample tests."""
 
+import decimal
 from fractions import Fraction
 
 import pytest
@@ -20,6 +21,20 @@ def test_sample_size_published_rows():
     assert sample_size("0.001", "0.01") == 2_302_586
     assert sample_size("0.001", "0.001") == 3_453_878
     assert sample_size("0.0005", "0.001") == 13_815_511
+    # above 2**53, where a double-precision ceiling is off by whole units
+    assert sample_size(Fraction(1, 10**9), Fraction(1, 2)) == \
+        346_573_590_279_972_655
+    assert sample_size("0.00000001", "0.01") == 23_025_850_929_940_457
+
+
+def test_sample_size_ignores_and_keeps_the_callers_decimal_context():
+    before = repr(decimal.getcontext())
+    caller = decimal.Context(prec=3, traps=[decimal.Inexact])
+    with decimal.localcontext(caller):
+        assert sample_size("0.009", "0.01") == 28_427
+        assert sample_size("0.0005", "0.001") == 13_815_511
+        assert decimal.getcontext().prec == 3
+    assert repr(decimal.getcontext()) == before
 
 
 def test_sample_size_hand_computable():

@@ -1,5 +1,6 @@
-"""Source hygiene: no module of the package imports a name it never uses,
-and none defines a top-level function or class that nothing names.
+"""Source hygiene: no module of the package imports a name it never uses
+or a module from outside the standard library, and none defines a
+top-level function or class that nothing names.
 
 The re-exports of ``__init__.py`` are exempt, and so is an import statement
 marked ``# noqa: F401`` (a name kept importable for code that patches it).
@@ -7,6 +8,7 @@ marked ``# noqa: F401`` (a name kept importable for code that patches it).
 
 import ast
 import re
+import sys
 from pathlib import Path
 
 ROOT = Path(__file__).resolve().parent.parent
@@ -49,6 +51,40 @@ def test_guard_flags_an_unused_import():
               "from operator import attrgetter  # noqa: F401\n"
               "rows = list(islice(os.path.sep, 1))\n")
     assert unused_imports(source) == ["3: groupby"]
+
+
+def third_party_imports(source: str) -> list[str]:
+    """``"line: module"`` for each absolute import of a module that is not
+    in the standard library (relative imports stay inside the package)."""
+    found = []
+    for node in ast.walk(ast.parse(source)):
+        if isinstance(node, ast.Import):
+            modules = [alias.name for alias in node.names]
+        elif isinstance(node, ast.ImportFrom) and node.level == 0:
+            modules = [node.module]
+        else:
+            continue
+        found += [f"{node.lineno}: {module}" for module in modules
+                  if module.split(".")[0] not in sys.stdlib_module_names]
+    return found
+
+
+def test_modules_import_only_the_standard_library():
+    found = {path.name: third_party_imports(path.read_text())
+             for path in sorted(SRC.glob("*.py"))}
+    assert "halting.py" in found
+    assert {name: names for name, names in found.items() if names} == {}
+
+
+def test_guard_flags_a_third_party_import():
+    source = ("from __future__ import annotations\n"
+              "import os.path, numpy.linalg\n"
+              "from . import lang\n"
+              "from .vm import classify\n"
+              "def size():\n"
+              "    from sympy import log\n"
+              "    from decimal import Context\n")
+    assert third_party_imports(source) == ["2: numpy.linalg", "6: sympy"]
 
 
 def dead_definitions(source: str, others: list[str]) -> list[str]:
