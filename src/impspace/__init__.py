@@ -15,10 +15,7 @@ from .lang import (
     FALSE, SKIP, TRUE,
     nat_to_string, parse, program_length, render, string_to_nat,
 )
-from .vm import (
-    Divergence, RunResult,
-    classify, detect_divergence, output_string, run,
-)
+from .vm import RunResult, classify, output_string, run
 from .enumeration import (
     PositionRangeError,
     count_programs, cumulative_count,

@@ -32,12 +32,12 @@ from .enumeration import (
     PositionRangeError, count_programs, cumulative_count, rank_base,
     rank_canonical, unrank_base, unrank_canonical,
 )
-# ``sweep`` is unused here, but perfbench/tracer.py wraps
-# ``impspace.cli.sweep``, so the name stays importable from this module
-from .explorer import (  # noqa: F401
-    FAMILIES, SweepSummary, algorithmic_probability, family_program, sweep,
+from .explorer import (
+    FAMILIES, SweepSummary, algorithmic_probability, family_program,
     sweep_summary,
 )
+# unused here, but perfbench/tracer.py wraps ``impspace.cli.sweep``
+from .explorer import sweep  # noqa: F401
 from .halting import (
     EstimationParams, SplitMix64, draw_halting_sample, sample_metadata,
     sample_size, sample_to_csv, threshold_from_sample,

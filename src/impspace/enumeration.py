@@ -27,11 +27,11 @@ split it once and later ones are lookups.
 
 Trees are shared, not rebuilt.  The first time a small block is needed,
 every member of that (category, length), or every child tuple of that
-(children, total) split, is built once in rank order and kept in a
-module-level table.  Only blocks of at most ``_TABLE_CAP`` (4,096)
-entries get a table, which keeps the tables to a few megabytes; walks
-over larger blocks stream their top layers and pair the shared subtrees
-from the tables beneath.  Such a walk chains one C iterator per grammar
+(children, total) split, is built once in rank order and memoized as a
+table.  Only blocks of at most ``_TABLE_CAP`` (4,096) entries get a
+table, which keeps the tables to a few megabytes; walks over larger
+blocks stream their top layers and pair the shared subtrees from the
+tables beneath.  Such a walk chains one C iterator per grammar
 alternative, or per value of a split's first child, so a Python
 generator resumes once per such run, not once per tree.  Shared
 subtrees are ordinary immutable nodes, so a program may hold one object
@@ -420,38 +420,25 @@ def _head_runs(children: tuple[str, ...], total: int,
 
 _TABLE_CAP = 4096
 
-_member_tables: dict[tuple[str, int], Sequence[Any] | None] = {}
-_child_tables: dict[tuple[tuple[str, ...], int],
-                    tuple[tuple[Any, ...], ...] | None] = {}
 
-
+@cache
 def _members(cat: str, length: int) -> Sequence[Any] | None:
     """All category members of one length in rank order, or None if too many."""
-    key = (cat, length)
-    if key in _member_tables:
-        return _member_tables[key]
     if cat == "N":
         first = 10 ** (length - 1) if length > 1 else 0
-        table: Sequence[Any] | None = range(first, first + _count("N", length))
-    elif _count(cat, length) <= _TABLE_CAP:
-        table = tuple(chain.from_iterable(_alt_runs(cat, length, 0)))
-    else:
-        table = None
-    _member_tables[key] = table
-    return table
+        return range(first, first + _count("N", length))
+    if _count(cat, length) <= _TABLE_CAP:
+        return tuple(chain.from_iterable(_alt_runs(cat, length, 0)))
+    return None
 
 
+@cache
 def _child_tuples(children: tuple[str, ...],
                   total: int) -> tuple[tuple[Any, ...], ...] | None:
     """All child tuples of one split in rank order, or None if too many."""
-    key = (children, total)
-    if key in _child_tables:
-        return _child_tables[key]
-    table = None
     if _ways(children, total) <= _TABLE_CAP:
-        table = tuple(chain.from_iterable(_head_runs(children, total, 0)))
-    _child_tables[key] = table
-    return table
+        return tuple(chain.from_iterable(_head_runs(children, total, 0)))
+    return None
 
 
 def unrank_fixed_length(length: int, k: int) -> Program:

@@ -8,19 +8,17 @@ node, operators and leaves alike.  A run either empties its control stack
 within the step budget (halted) or is cut off with ``steps`` pinned to the
 budget.
 
-``run`` applies the budget literally, always through the interpreter
-loop: it is the reference.  ``classify`` produces the same answer but
-watches for repeated machine configurations at ``while`` heads, which
-lets it bail out of tight loops long before the budget is spent, and
-answers a lone ``x[i] := A`` (most of the program space) in one step.
-``detect_divergence`` is the same machine with no budget at all, and a
-cap on the configurations it remembers.  Otherwise all three share one
-interpreter loop.
+``run`` and ``classify`` drive one budgeted machine.  ``run`` applies the
+budget literally: it is the reference.  ``classify`` produces the same
+answer but checks for a repeated machine configuration at ``while``
+heads, which lets it bail out of a cycle long before the budget is spent,
+and answers a lone ``x[i] := A`` (most of the program space) in one step.
+The check keeps one marked configuration, so its memory does not grow
+with the budget.
 
-A run builds its per-node cost cache and its set of configurations at
-the first ``while`` it meets.  Before a loop no statement repeats, so a
-loop-free run (most of the program space) evaluates each cost once and
-keeps neither structure.
+A run builds its per-node cost cache at the first ``while`` it meets.
+Before a loop no statement repeats, so a loop-free run (most of the
+program space) evaluates each cost once and keeps no cache.
 
 ``run`` and ``classify`` answer with a ``RunResult``, a named tuple
 ``(halted, steps, store)`` built by the C tuple constructor, so making
@@ -29,8 +27,6 @@ one runs no Python frame.
 
 from __future__ import annotations
 
-import enum
-import math
 from typing import NamedTuple
 
 from .lang import (
@@ -119,38 +115,34 @@ def eval_bool(b: Bool, store: dict[int, int]) -> bool:
     return (left or right) if t is Or else (left and right)
 
 
-class Divergence(enum.Enum):
-    HALTS = "halts"
-    DIVERGES = "diverges"
-    UNKNOWN = "unknown"
-
-
-def _execute(program: Program, budget: int | None, cycle_cap: int | None,
-             ) -> tuple[bool, int, dict[int, int], bool]:
-    """Drive the machine; returns (halted, steps, store, cycled).
+def _execute(program: Program, budget: int, detect: bool,
+             ) -> tuple[bool, int, dict[int, int]]:
+    """Drive the machine; returns (halted, steps, store).
 
     The control stack holds statements still to run, innermost first.  A
     transition whose cost would push ``steps`` past the budget does not
     fire: the run ends with steps equal to the budget and the store as it
-    stood.  ``budget=None`` runs without a limit.
+    stood.
 
-    Unless ``cycle_cap`` is None, the configuration (stack plus store) is
-    remembered each time a ``while`` head is about to run; seeing one
-    twice proves the run never ends.  Only ``while`` heads need checking:
-    code without loops always halts, so an endless run keeps returning to
-    some loop head, and a run that repeats a configuration repeats one
-    there.  A new configuration met with ``cycle_cap`` already remembered
-    ends the run unresolved (neither halted nor cycled).
+    With ``detect``, a configuration (the ``while`` node about to run, the
+    stack beneath it and the store) met twice proves the run never ends,
+    so it ends there with steps equal to the budget, as the budget would
+    have ended it.  Only ``while`` heads need checking: code without loops
+    always halts, so an endless run keeps returning to some loop head, and
+    a run that repeats a configuration repeats one there.  The check is
+    Brent's (1980): each head is compared with one marked configuration,
+    and the mark moves to heads 1, 2, 4, 8, ...  A cycle of period p
+    entered by head m is proved at the latest by head 3 * max(m, p), with
+    one copied configuration in memory.
 
-    Expression costs are cached per node, and configurations remembered,
-    only from the first ``while`` on; until then each statement runs once.
+    Expression costs are cached per node only from the first ``while`` on;
+    until then each statement runs once.
     """
-    limit = math.inf if budget is None else budget
     stack: list[Program] = [program]
     store: dict[int, int] = {}
-    steps = 0
+    steps = heads = 0
     cost_cache: dict[int, int] | None = None
-    seen: set[tuple[tuple[int, ...], tuple[tuple[int, int], ...]]] | None = None
+    mark = mark_stack = mark_store = None
 
     while stack:
         node = stack.pop()
@@ -158,8 +150,8 @@ def _execute(program: Program, budget: int | None, cycle_cap: int | None,
         if t is Skip:
             continue
         if t is Seq:
-            if steps + 1 > limit:
-                return False, budget, store, False
+            if steps + 1 > budget:
+                return False, budget, store
             steps += 1
             stack.append(node.second)
             stack.append(node.first)
@@ -171,8 +163,8 @@ def _execute(program: Program, budget: int | None, cycle_cap: int | None,
                 cost = cost_cache.get(id(node))
                 if cost is None:
                     cost = cost_cache[id(node)] = 1 + expression_cost(node.value)
-            if steps + cost > limit:
-                return False, budget, store, False
+            if steps + cost > budget:
+                return False, budget, store
             steps += cost
             value = eval_arith(node.value, store)
             if value:
@@ -182,15 +174,13 @@ def _execute(program: Program, budget: int | None, cycle_cap: int | None,
             continue
         if t is While:
             if cost_cache is None:
-                cost_cache, seen = {}, set()
-            if cycle_cap is not None:
-                key = (tuple(map(id, stack)) + (id(node),),
-                       tuple(sorted(store.items())))
-                if key in seen:
-                    return False, budget, store, True
-                if len(seen) >= cycle_cap:
-                    return False, steps, store, False
-                seen.add(key)
+                cost_cache = {}
+            if detect:
+                if node is mark and store == mark_store and stack == mark_stack:
+                    return False, budget, store
+                heads += 1
+                if not heads & (heads - 1):
+                    mark, mark_stack, mark_store = node, stack.copy(), store.copy()
             cost = cost_cache.get(id(node))
         else:  # If
             cost = None if cost_cache is None else cost_cache.get(id(node))
@@ -198,8 +188,8 @@ def _execute(program: Program, budget: int | None, cycle_cap: int | None,
             cost = 1 + expression_cost(node.cond)
             if cost_cache is not None:
                 cost_cache[id(node)] = cost
-        if steps + cost > limit:
-            return False, budget, store, False
+        if steps + cost > budget:
+            return False, budget, store
         steps += cost
         if t is If:
             stack.append(node.then if eval_bool(node.cond, store) else node.orelse)
@@ -207,7 +197,7 @@ def _execute(program: Program, budget: int | None, cycle_cap: int | None,
             if eval_bool(node.cond, store):
                 stack.append(node)
                 stack.append(node.body)
-    return True, steps, store, False
+    return True, steps, store
 
 
 def run(program: Program, budget: int) -> RunResult:
@@ -219,8 +209,7 @@ def run(program: Program, budget: int) -> RunResult:
     """
     if budget < 0:
         raise ValueError("budget must be nonnegative")
-    halted, steps, store, _ = _execute(program, budget, None)
-    return _new_result(RunResult, (halted, steps, store))
+    return _new_result(RunResult, _execute(program, budget, False))
 
 
 def classify(program: Program, budget: int) -> RunResult:
@@ -231,10 +220,8 @@ def classify(program: Program, budget: int) -> RunResult:
     remaining budget.  The halted flag and step count always match ``run``
     exactly; for a run cut short this way the store is the one seen at
     detection time rather than at budget exhaustion, and the output (empty
-    either way) is unaffected.  Every configuration is remembered: each
-    ``while`` head costs at least 2 steps, so a run under this budget
-    meets at most ``budget // 2 + 1`` of them and never reaches a cap of
-    ``budget + 1``.
+    either way) is unaffected.  The check holds one configuration, so
+    memory stays constant at any budget.
 
     A program that is one ``x[i] := A`` skips the loop: it costs
     ``1 + expression_cost(A)`` and stores the value ``A`` takes in the
@@ -251,19 +238,4 @@ def classify(program: Program, budget: int) -> RunResult:
         v = a.value if t is Num else 0 if t is Reg else eval_arith(a, {})
         store = {program.target: v} if v else {}
         return _new_result(RunResult, (True, cost, store))
-    halted, steps, store, _ = _execute(program, budget, budget + 1)
-    return _new_result(RunResult, (halted, steps, store))
-
-
-def detect_divergence(program: Program,
-                      state_cap: int = 100_000) -> Divergence:
-    """Decide halting where feasible, without a step budget.
-
-    Runs until the program halts, a configuration repeats at a ``while``
-    head (a proof of divergence), or ``state_cap`` distinct ``while``-head
-    configurations have been seen, in which case the answer is UNKNOWN.
-    """
-    halted, _, _, cycled = _execute(program, None, state_cap)
-    if halted:
-        return Divergence.HALTS
-    return Divergence.DIVERGES if cycled else Divergence.UNKNOWN
+    return _new_result(RunResult, _execute(program, budget, True))

@@ -97,23 +97,34 @@ def test_fixed_length_out_of_range():
 CAPS = (0, enumeration._TABLE_CAP, 10**9)
 
 
-def _use_cap(monkeypatch, cap):
-    monkeypatch.setattr(enumeration, "_TABLE_CAP", cap)
-    monkeypatch.setattr(enumeration, "_member_tables", {})
-    monkeypatch.setattr(enumeration, "_child_tables", {})
+def _clear_tables():
+    enumeration._members.cache_clear()
+    enumeration._child_tuples.cache_clear()
 
 
-def test_iterator_agrees_with_unranking(monkeypatch):
+@pytest.fixture
+def use_cap(monkeypatch):
+    """Set the table cap; tables built under one cap never serve another,
+    and none outlives the test."""
+    def use(cap):
+        monkeypatch.setattr(enumeration, "_TABLE_CAP", cap)
+        _clear_tables()
+
+    yield use
+    _clear_tables()
+
+
+def test_iterator_agrees_with_unranking(use_cap):
     # unranking, the walk and the ranker all read the same rank offsets, so
     # the reference at cap 0 is pinned independently by the brute-force
     # grammar
     lengths = (1, 3, 4, 5)
-    _use_cap(monkeypatch, 0)
+    use_cap(0)
     want = {length: [unrank_fixed_length(length, k)
                      for k in range(count_programs(length))]
             for length in lengths}
     for cap in CAPS:
-        _use_cap(monkeypatch, cap)
+        use_cap(cap)
         for length in lengths:
             assert list(iter_fixed_length(length)) == want[length], cap
             block = [unrank_fixed_length(length, k)
@@ -124,8 +135,8 @@ def test_iterator_agrees_with_unranking(monkeypatch):
             assert set(block) == set(bruteforce.programs(length)), cap
 
 
-def test_iterator_resumes_anywhere(monkeypatch):
-    _use_cap(monkeypatch, 0)
+def test_iterator_resumes_anywhere(use_cap):
+    use_cap(0)
     full = list(iter_fixed_length(6))
     # first ranks of the Seq, If and While alternatives in the block
     alternatives = {30_900: Seq, 31_108: If, 31_330: While}
@@ -136,17 +147,17 @@ def test_iterator_resumes_anywhere(monkeypatch):
     starts = [0, 1, 35_769, 35_770, *alternatives] + \
         [rng.randrange(35_770) for _ in range(20)]
     for cap in CAPS:
-        _use_cap(monkeypatch, cap)
+        use_cap(cap)
         for start in starts:
             tail = list(iter_fixed_length(6, start))
             assert tail == full[start:], (cap, start)
 
 
-def test_descent_agrees_with_walk(monkeypatch):
+def test_descent_agrees_with_walk(use_cap):
     rng = SplitMix64(9)
     ranks = [rng.randbelow(count_programs(9)) for _ in range(200)]
     for cap in (0, enumeration._TABLE_CAP):
-        _use_cap(monkeypatch, cap)
+        use_cap(cap)
         for k in ranks:
             assert unrank_fixed_length(9, k) == \
                 next(iter_fixed_length(9, k)), (cap, k)

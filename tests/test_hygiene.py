@@ -3,7 +3,9 @@ or a module from outside the standard library, and none defines a
 top-level function or class that nothing names.
 
 The re-exports of ``__init__.py`` are exempt, and so is an import statement
-marked ``# noqa: F401`` (a name kept importable for code that patches it).
+marked ``# noqa: F401`` (a name kept importable for code that patches it),
+as long as the module never reads the name and some file under
+``perfbench/`` names it.
 """
 
 import ast
@@ -15,25 +17,41 @@ ROOT = Path(__file__).resolve().parent.parent
 SRC = ROOT / "src" / "impspace"
 
 
-def unused_imports(source: str) -> list[str]:
-    """``"line: name"`` for each imported name that the source never reads."""
+def _imports(source: str) -> tuple[list[tuple[int, str, bool]], set[str]]:
+    """``(line, name, exempt)`` for each imported name, where ``exempt``
+    marks an import statement carrying ``# noqa: F401``, and the set of
+    names the source reads."""
     lines = source.splitlines()
     tree = ast.parse(source)
     used = {node.id for node in ast.walk(tree) if isinstance(node, ast.Name)}
-    unused = []
+    imported = []
     for node in ast.walk(tree):
         if not isinstance(node, (ast.Import, ast.ImportFrom)):
             continue
         if isinstance(node, ast.ImportFrom) and node.module == "__future__":
             continue
         statement = lines[node.lineno - 1:node.end_lineno]
-        if any("# noqa: F401" in line for line in statement):
-            continue
-        for alias in node.names:
-            name = alias.asname or alias.name.split(".")[0]
-            if name not in used:
-                unused.append(f"{node.lineno}: {name}")
-    return unused
+        exempt = any("# noqa: F401" in line for line in statement)
+        imported += [(node.lineno, alias.asname or alias.name.split(".")[0],
+                      exempt) for alias in node.names]
+    return imported, used
+
+
+def unused_imports(source: str) -> list[str]:
+    """``"line: name"`` for each imported name that the source never reads."""
+    imported, used = _imports(source)
+    return [f"{line}: {name}" for line, name, exempt in imported
+            if not exempt and name not in used]
+
+
+def stale_exemptions(source: str, patchers: list[str]) -> list[str]:
+    """``"line: name"`` for each ``# noqa: F401`` import that the source
+    reads, or that none of ``patchers`` names: the exemption is for a
+    name kept only so that other code can patch it."""
+    imported, used = _imports(source)
+    return [f"{line}: {name}" for line, name, exempt in imported
+            if exempt and (name in used or not any(
+                re.search(rf"\b{name}\b", text) for text in patchers))]
 
 
 def test_modules_use_every_import():
@@ -51,6 +69,26 @@ def test_guard_flags_an_unused_import():
               "from operator import attrgetter  # noqa: F401\n"
               "rows = list(islice(os.path.sep, 1))\n")
     assert unused_imports(source) == ["3: groupby"]
+
+
+def test_modules_exempt_only_patched_names():
+    patchers = [path.read_text()
+                for path in sorted((ROOT / "perfbench").rglob("*.py"))]
+    found = {path.name: stale_exemptions(path.read_text(), patchers)
+             for path in sorted(SRC.glob("*.py"))
+             if path.name != "__init__.py"}
+    assert "cli.py" in found
+    assert {name: names for name, names in found.items() if names} == {}
+
+
+def test_guard_flags_a_stale_exemption():
+    source = ("from itertools import (  # noqa: F401\n"
+              "    groupby, islice)\n"
+              "from operator import attrgetter  # noqa: F401\n"
+              "from functools import reduce  # noqa: F401\n"
+              "rows = list(islice('ab', 1))\n")
+    patchers = ["patch(module, 'attrgetter')", "groupby"]
+    assert stale_exemptions(source, patchers) == ["1: islice", "4: reduce"]
 
 
 def third_party_imports(source: str) -> list[str]:

@@ -1,14 +1,16 @@
 """Interpreter tests: semantics, step accounting, budgets, loop detection."""
 
 import random
+import tracemalloc
 
 import pytest
 
+from impspace import vm
 from impspace.enumeration import count_programs, unrank_fixed_length
-from impspace.lang import Assign, Num, SKIP, Seq, Sub, parse, render
+from impspace.lang import Assign, Num, SKIP, Seq, Sub, While, parse, render
 from impspace.vm import (
-    Divergence, RunResult, classify, detect_divergence, eval_arith,
-    expression_cost, output_string, run,
+    RunResult, classify, eval_arith, eval_bool, expression_cost,
+    output_string, run,
 )
 
 import bruteforce
@@ -124,15 +126,64 @@ def test_budget_monotonicity_small_space():
                 (True, small.steps, small.store)
 
 
+def _loops(p) -> list:
+    return [q for q in (p, *bruteforce.subprograms(p)) if type(q) is While]
+
+
 def test_classify_matches_run_exactly():
-    for budget in (7, 200, 10_000):
-        for p in bruteforce.programs_up_to(5):
-            a = run(p, budget)
-            b = classify(p, budget)
-            assert (a.halted, a.steps) == (b.halted, b.steps)
-            if a.halted:
-                assert a.store == b.store
-                assert a.output == b.output
+    # programs up to length 5 hold no nested loop; a seeded sample of
+    # longer programs with loops does, and small budgets cut its runs off
+    # at every phase of a cycle
+    rng = random.Random(24)
+    looping = []
+    while len(looping) < 2_000:
+        length = rng.randint(8, 10)
+        p = unrank_fixed_length(length, rng.randrange(count_programs(length)))
+        if _loops(p):
+            looping.append(p)
+    nested = [p for p in looping if any(len(_loops(w)) > 1 for w in _loops(p))]
+    assert len(nested) >= 20
+    for budgets, programs in (((7, 200, 10_000), bruteforce.programs_up_to(5)),
+                              ((1, 2, 3, 5, 8, 13, 21, 10_000), looping)):
+        for budget in budgets:
+            for p in programs:
+                a = run(p, budget)
+                b = classify(p, budget)
+                assert (a.halted, a.steps) == (b.halted, b.steps), \
+                    (render(p), budget)
+                if a.halted:
+                    assert a.store == b.store
+                    assert a.output == b.output
+
+
+def test_classify_proves_cycles_in_constant_memory(monkeypatch):
+    grower = parse("(while true do x[0] := (x[0] + 1))")
+    tracemalloc.start()
+    try:
+        result = classify(grower, 1_000_000)
+        _, peak = tracemalloc.get_traced_memory()
+    finally:
+        tracemalloc.stop()
+    assert (result.halted, result.steps) == (False, 1_000_000)
+    assert peak < 2**20
+    guards = 0
+
+    def counted(b, store):
+        nonlocal guards
+        guards += 1
+        return eval_bool(b, store)
+
+    monkeypatch.setattr(vm, "eval_bool", counted)
+    # no run-up, a run-up of five iterations, and a cycle of period 4
+    for text in ("(while true do skip)",
+                 "(while true do (if (x[0] < 5) then x[0] := (x[0] + 1) "
+                 "else skip))",
+                 "(while true do (if (x[0] < 3) then x[0] := (x[0] + 1) "
+                 "else x[0] := 0))"):
+        guards = 0
+        result = classify(parse(text), 10**18)
+        assert (result.halted, result.steps) == (False, 10**18), text
+        assert guards <= 64, (text, guards)
 
 
 def test_classify_answers_assignments_like_run_at_every_budget():
@@ -154,30 +205,6 @@ def test_classify_answers_assignments_like_run_at_every_budget():
         for budget in {0, 1, cost - 1, cost, cost + 1, 10_000}:
             assert tuple(classify(p, budget)) == tuple(run(p, budget)), \
                 (render(p), budget)
-
-
-def test_detect_divergence_examples():
-    assert detect_divergence(parse("(while true do skip)")) is Divergence.DIVERGES
-    assert detect_divergence(SKIP) is Divergence.HALTS
-    assert detect_divergence(parse("(while false do skip)")) is Divergence.HALTS
-    grower = parse("(while true do x[0] := (x[0] + 1))")
-    assert detect_divergence(grower, state_cap=50) is Divergence.UNKNOWN
-    # cap 0 remembers nothing, so any while head is unresolved; cap 1
-    # remembers the first, so the loop's second visit proves divergence
-    for text, cap, verdict in (("(while true do skip)", 0, "UNKNOWN"),
-                               ("(while false do skip)", 0, "UNKNOWN"),
-                               ("skip", 0, "HALTS"),
-                               ("(while true do skip)", 1, "DIVERGES")):
-        assert detect_divergence(parse(text), state_cap=cap) \
-            is Divergence[verdict], (text, cap)
-
-
-def test_budget_classification_agrees_with_divergence_oracle():
-    for p in bruteforce.programs_up_to(5):
-        verdict = detect_divergence(p, state_cap=10_000)
-        if verdict is Divergence.UNKNOWN:
-            continue
-        assert run(p, 10_000).halted == (verdict is Divergence.HALTS)
 
 
 def test_agreement_with_naive_interpreter():
