@@ -15,23 +15,24 @@ integers:
 * the **canonical** enumeration concatenating the fixed-length blocks in
   increasing length order.
 
-Counts and ranks come from one recurrence over the grammar, the rank
-offsets (Nijenhuis and Wilf, *Combinatorial Algorithms*, 1978).  Every
-block gets one memoized table of offsets: the start rank of each
-non-empty alternative of a (category, length), and the start rank, head
-length and tail count of each non-empty split of a (children, total),
-each list of starts ending with the block size.  A count is that last
-offset, and the tail counts are the counts of the shorter blocks beneath,
-so the first query for a length pays the convolution over all ways to
-split it once and later ones are lookups.
+Counts and ranks come from one recurrence over the grammar (Nijenhuis
+and Wilf, *Combinatorial Algorithms*, 1978; Flajolet, Zimmermann and
+Van Cutsem, 1994): the count of a tuple of children at a total length
+sums, over the lengths of the first child, its count times the count of
+the rest.  Each (category, length) gets one memoized tuple of rank
+offsets, the start rank of each grammar alternative followed by the
+block size, and a count is that last offset.  A (children, total) keeps
+its count as one memoized integer; the start ranks and tail counts of
+its splits, one entry per length of the first child, are built only when
+a rank, an unrank or a walk passes through it.  Counting thus keeps
+O(L^2) digits for lengths up to L, and builds no split offsets.
 
-Trees are shared, not rebuilt.  The first time a small block is needed,
-every member of that (category, length), or every child tuple of that
-(children, total) split, is built once in rank order and memoized as a
-table.  Only blocks of at most ``_TABLE_CAP`` (4,096) entries get a
-table, which keeps the tables to a few megabytes; walks over larger
-blocks stream their top layers and pair the shared subtrees from the
-tables beneath.  Such a walk chains one C iterator per grammar
+Trees are shared, not rebuilt.  The first time a small (category,
+length) block is needed, every member is built once in rank order and
+memoized as a table.  Only blocks of at most ``_TABLE_CAP`` (4,096)
+members get a table, which keeps the tables to a few megabytes; walks
+over larger blocks stream their top layers and pair the shared subtrees
+from the tables beneath.  Such a walk chains one C iterator per grammar
 alternative, or per value of a split's first child, so a Python
 generator resumes once per such run, not once per tree.  Shared
 subtrees are ordinary immutable nodes, so a program may hold one object
@@ -54,7 +55,7 @@ import math
 from bisect import bisect_right
 from dataclasses import dataclass
 from functools import cache
-from itertools import chain, islice, repeat, starmap
+from itertools import chain, count, islice, repeat, starmap
 from operator import add
 from typing import Any, Callable, Iterator, Sequence
 
@@ -122,14 +123,26 @@ def _count(cat: str, length: int) -> int:
         return 0
     if cat == "N":
         return 10 if length == 1 else 9 * 10 ** (length - 1)
-    return _alt_offsets(cat, length)[0][-1]
+    return _alt_offsets(cat, length)[-1]
 
 
+@cache
 def _ways(children: tuple[str, ...], total: int) -> int:
     """Tuples of child trees, one per category, with lengths summing to total."""
+    # a lone child sums over its lengths too: that counts the blocks beneath
+    # in increasing length, so a cold count never recurses deeply
     if not children:
         return 1 if total == 0 else 0
-    return _split_offsets(children, total)[0][-1]
+    return sum(n * tail for n, tail in _splits(children, total))
+
+
+def _splits(children: tuple[str, ...], total: int) -> list[tuple[int, int]]:
+    """(head trees, tail tuples) of each split of a child tuple, one per
+    head length from the head's shortest."""
+    head, rest = children[0], children[1:]
+    floor = sum(_MIN_LEN[c] for c in rest)
+    return [(_count(head, head_len), _ways(rest, total - head_len))
+            for head_len in range(_MIN_LEN[head], total - floor + 1)]
 
 
 def count_programs(length: int) -> int:
@@ -154,42 +167,34 @@ def cumulative_count(length: int) -> int:
 # ---------------------------------------------------------------------------
 # Rank offsets (see the module docstring)
 #
-# Each list of start ranks ends with the block size, so the last start is
-# the count and ``bisect_right(starts, k) - 1`` picks the part of any
-# in-range rank k.
+# Each tuple of start ranks has one entry per alternative or head length,
+# and one more, the block size, at the end.  An empty part has zero
+# width, so ``bisect_right(starts, k) - 1`` picks the non-empty part of
+# any in-range rank k.
 # ---------------------------------------------------------------------------
 
 _Ints = tuple[int, ...]
 
 
 @cache
-def _alt_offsets(cat: str, length: int) -> tuple[_Ints, _Ints]:
-    """Start ranks and grammar indices of the non-empty alternatives."""
-    starts, indices = [0], []
-    for i, alt in enumerate(_GRAMMAR[cat]):
-        size = _ways(alt.children, length - alt.cost)
-        if size:
-            starts.append(starts[-1] + size)
-            indices.append(i)
-    return tuple(starts), tuple(indices)
+def _alt_offsets(cat: str, length: int) -> _Ints:
+    """Start ranks of the alternatives, in grammar order."""
+    starts = [0]
+    for alt in _GRAMMAR[cat]:
+        starts.append(starts[-1] + _ways(alt.children, length - alt.cost))
+    return tuple(starts)
 
 
 @cache
 def _split_offsets(children: tuple[str, ...],
-                   total: int) -> tuple[_Ints, _Ints, _Ints]:
-    """Start ranks, head lengths and tail counts of the non-empty splits
-    of a child tuple; a split's ranks run head-major."""
-    head, rest = children[0], children[1:]
-    floor = sum(_MIN_LEN[c] for c in rest)
-    starts, head_lens, tails = [0], [], []
-    for head_len in range(_MIN_LEN[head], total - floor + 1):
-        n = _count(head, head_len)
-        tail = _ways(rest, total - head_len)
-        if n and tail:
-            starts.append(starts[-1] + n * tail)
-            head_lens.append(head_len)
-            tails.append(tail)
-    return tuple(starts), tuple(head_lens), tuple(tails)
+                   total: int) -> tuple[_Ints, _Ints]:
+    """Start ranks and tail counts of the splits of a child tuple, entry i
+    the head length ``_MIN_LEN[head] + i``; a split's ranks run head-major."""
+    starts, tails = [0], []
+    for n, tail in _splits(children, total):
+        starts.append(starts[-1] + n * tail)
+        tails.append(tail)
+    return tuple(starts), tuple(tails)
 
 
 # ---------------------------------------------------------------------------
@@ -229,39 +234,31 @@ def _unfold_tree(key: tuple, expand: Callable[[tuple], tuple]) -> Any:
 
 def _expand_ranked(key: tuple[str, int, int]) -> tuple:
     """One node of ``_unrank_in_length``: the rank picks an alternative,
-    and the rest of it splits into one rank per child, head first, until
-    a tabled tail of children ends the split."""
+    and the rest of it splits into one rank per child, head first."""
     cat, length, k = key
-    starts, indices = _alt_offsets(cat, length)
+    starts = _alt_offsets(cat, length)
     i = bisect_right(starts, k) - 1
-    alt = _GRAMMAR[cat][indices[i]]
+    alt = _GRAMMAR[cat][i]
     children, total, k = alt.children, length - alt.cost, k - starts[i]
     parts = []
     while children:
+        head = children[0]
         if len(children) == 1:
             head_len, head_rank = total, k
         else:
-            table = _child_tuples(children, total)
-            if table is not None:
-                parts.extend(table[k])
-                break
-            starts, head_lens, tails = _split_offsets(children, total)
+            starts, tails = _split_offsets(children, total)
             i = bisect_right(starts, k) - 1
-            head_len = head_lens[i]
+            head_len = _MIN_LEN[head] + i
             head_rank, k = divmod(k - starts[i], tails[i])
         # a child in a tabled block is finished, any other is a key
-        table = _members(children[0], head_len)
-        parts.append((children[0], head_len, head_rank) if table is None
+        table = _members(head, head_len)
+        parts.append((head, head_len, head_rank) if table is None
                      else table[head_rank])
         children, total = children[1:], total - head_len
     return alt.build, parts
 
 
 def _unrank_in_length(cat: str, length: int, k: int) -> Any:
-    if k < 0 or k >= _count(cat, length):
-        raise PositionRangeError(
-            f"rank {k} out of range for {_count(cat, length)} "
-            f"category-{cat} trees of length {length}")
     table = _members(cat, length)
     if table is not None:
         return table[k]
@@ -333,17 +330,16 @@ def _join_rank(cat: str, alt_index: int,
                parts: list[tuple[int, int]]) -> tuple[int, int]:
     """(rank, length) of a node from the (rank, length) of its children."""
     alt = _GRAMMAR[cat][alt_index]
-    rank = total = 0
     # a child tuple ranks head-major: fold from the last child back
-    for i in range(len(parts) - 1, -1, -1):
+    rank, total = parts[-1] if parts else (0, 0)
+    for i in range(len(parts) - 2, -1, -1):
         head_rank, head_len = parts[i]
         total += head_len
-        starts, head_lens, tails = _split_offsets(alt.children[i:], total)
-        j = head_lens.index(head_len)
-        rank = starts[j] + head_rank * tails[j] + rank
+        starts, tails = _split_offsets(alt.children[i:], total)
+        j = head_len - _MIN_LEN[alt.children[i]]
+        rank += starts[j] + head_rank * tails[j]
     length = total + alt.cost
-    starts, indices = _alt_offsets(cat, length)
-    return starts[indices.index(alt_index)] + rank, length
+    return _alt_offsets(cat, length)[alt_index] + rank, length
 
 
 def _rank_in_length(cat: str, value: Any) -> tuple[int, int]:
@@ -365,13 +361,15 @@ def _iter_in_length(cat: str, length: int, start: int = 0) -> Iterator[Any]:
 
 def _alt_runs(cat: str, length: int, start: int) -> Iterator[Iterator[Any]]:
     """One iterator per alternative, over its members from ``start`` on."""
-    starts, indices = _alt_offsets(cat, length)
+    starts = _alt_offsets(cat, length)
     if start >= starts[-1]:
         return
     first = bisect_right(starts, start) - 1
     start -= starts[first]
-    for i in indices[first:]:
+    for i in range(first, len(starts) - 1):
         alt = _GRAMMAR[cat][i]
+        if starts[i] == starts[i + 1]:
+            continue
         if alt.children:
             yield starmap(alt.build, _iter_children(
                 alt.children, length - alt.cost, start))
@@ -385,22 +383,22 @@ def _iter_children(children: tuple[str, ...], total: int,
     if len(children) == 1:
         # the tuples of a single child are its members, one at a time
         return zip(_iter_in_length(children[0], total, start))
-    table = _child_tuples(children, total)
-    if table is not None:
-        return iter(table[start:])
     return chain.from_iterable(_head_runs(children, total, start))
 
 
 def _head_runs(children: tuple[str, ...], total: int,
                start: int) -> Iterator[Iterator[tuple[Any, ...]]]:
     """One iterator per head value, over the child tuples it begins."""
-    starts, head_lens, tails = _split_offsets(children, total)
+    starts, tails = _split_offsets(children, total)
     if start >= starts[-1]:
         return
     first = bisect_right(starts, start) - 1
     head_start, tail_start = divmod(start - starts[first], tails[first])
     head, rest = children[0], children[1:]
-    for head_len in head_lens[first:]:
+    for i in range(first, len(tails)):
+        if starts[i] == starts[i + 1]:
+            continue
+        head_len = _MIN_LEN[head] + i
         for head_val in _iter_in_length(head, head_len, head_start):
             yield map(add, repeat((head_val,)),
                       _iter_children(rest, total - head_len, tail_start))
@@ -411,10 +409,10 @@ def _head_runs(children: tuple[str, ...], total: int,
 # ---------------------------------------------------------------------------
 # Shared subtree tables (see the module docstring)
 #
-# The cap bounds every table.  At 4,096 a length-7 sweep keeps about
-# 10,500 table entries and peaks at 28 MB; raised to 2**18 it would also
-# table the 77,514 boolean trees of length 5 and the larger splits, about
-# 315,000 entries, and peak at 44 MB.
+# The cap bounds every table.  At 4,096 a one-worker length-7 sweep keeps
+# 4,846 member entries and peaks at 20 MB; raised to 2**18 it would also
+# table the 77,514 boolean trees of length 5 and the other blocks up to
+# that size, 147,256 entries, and peak at 28 MB (Python 3.11).
 # Numerals need no table: their block is a ``range``.
 # ---------------------------------------------------------------------------
 
@@ -429,15 +427,6 @@ def _members(cat: str, length: int) -> Sequence[Any] | None:
         return range(first, first + _count("N", length))
     if _count(cat, length) <= _TABLE_CAP:
         return tuple(chain.from_iterable(_alt_runs(cat, length, 0)))
-    return None
-
-
-@cache
-def _child_tuples(children: tuple[str, ...],
-                  total: int) -> tuple[tuple[Any, ...], ...] | None:
-    """All child tuples of one split in rank order, or None if too many."""
-    if _ways(children, total) <= _TABLE_CAP:
-        return tuple(chain.from_iterable(_head_runs(children, total, 0)))
     return None
 
 
@@ -493,22 +482,11 @@ def iter_canonical(start: int = 0, stop: int | None = None) -> Iterator[Program]
     """Programs in canonical order for positions [start, stop)."""
     if start < 0:
         raise PositionRangeError(f"position {start} is negative")
-    if stop is not None and stop <= start:
-        return
-    length = _length_at(start)
-    remaining = None if stop is None else stop - start
-    offset = start - cumulative_count(length - 1)
-    while True:
-        block = _iter_in_length("P", length, offset)
-        if remaining is None:
-            yield from block
-        else:
-            yield from islice(block, remaining)
-            remaining -= count_programs(length) - offset
-            if remaining <= 0:
-                return
-        length += 1
-        offset = 0
+    blocks = (_iter_in_length("P", length,
+                              max(start - cumulative_count(length - 1), 0))
+              for length in count(_length_at(start)))
+    yield from islice(chain.from_iterable(blocks),
+                      None if stop is None else max(stop - start, 0))
 
 
 # ---------------------------------------------------------------------------

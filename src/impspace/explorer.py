@@ -39,7 +39,7 @@ from math import log2
 from typing import Callable, Iterable, Iterator, Sequence
 
 from .enumeration import (
-    _alt_offsets, _split_offsets, count_programs, cumulative_count,
+    _split_offsets, count_programs, cumulative_count,
     iter_fixed_length,
 )
 from .lang import (
@@ -275,16 +275,15 @@ def _assign_columns(length: int, budget: int, execute: Callable,
     and stores the value of ``A``, or is cut off over the budget, whatever
     ``i`` is.  A split's ranks run register first, so its first programs
     pair its lowest register with each ``A`` in rank order; their rows,
-    from ``_run_programs``, are the column of every register.  The block,
-    where there is one, starts at rank 0: ``skip``, the one alternative
-    before it, has length 1."""
+    from ``_run_programs``, are the column of every register.  The block
+    starts at rank 0, since ``skip``, the one alternative before it, has
+    length 1; below length 4, that of ``x[0] := 0``, it has no splits."""
     splits = []
-    if _alt_offsets("P", length)[1][:1] == (1,):  # Assign, P's second
-        starts, _, tails = _split_offsets(("X", "A"), length - 1)
-        for first, end, trees in zip(starts, starts[1:], tails):
-            columns = [], [], []
-            _run_programs(length, first, trees, budget, execute, *columns)
-            splits.append((first, end, trees, columns))
+    starts, tails = _split_offsets(("X", "A"), length - 1)
+    for first, end, trees in zip(starts, starts[1:], tails):
+        columns = [], [], []
+        _run_programs(length, first, trees, budget, execute, *columns)
+        splits.append((first, end, trees, columns))
     return splits
 
 

@@ -1,6 +1,7 @@
 """Counting and rank/unrank tests, validated against brute-forced spaces."""
 
 import random
+import tracemalloc
 from itertools import count
 
 import pytest
@@ -91,15 +92,10 @@ def test_fixed_length_out_of_range():
         unrank_fixed_length(5, -1)
 
 
-# Table caps covering both sides of the shared-subtree cutoff: 0 streams
-# every block, the default mixes tables and streams, and the last builds a
-# table for every block these tests touch.
+# Member-table caps covering both sides of the shared-subtree cutoff: 0
+# streams every block, the default mixes member tables and streams, and the
+# last builds a member table for every block these tests touch.
 CAPS = (0, enumeration._TABLE_CAP, 10**9)
-
-
-def _clear_tables():
-    enumeration._members.cache_clear()
-    enumeration._child_tuples.cache_clear()
 
 
 @pytest.fixture
@@ -108,10 +104,10 @@ def use_cap(monkeypatch):
     and none outlives the test."""
     def use(cap):
         monkeypatch.setattr(enumeration, "_TABLE_CAP", cap)
-        _clear_tables()
+        enumeration._members.cache_clear()
 
     yield use
-    _clear_tables()
+    enumeration._members.cache_clear()
 
 
 def test_iterator_agrees_with_unranking(use_cap):
@@ -163,18 +159,37 @@ def test_descent_agrees_with_walk(use_cap):
                 next(iter_fixed_length(9, k)), (cap, k)
 
 
-def test_counts_are_the_last_offset(monkeypatch):
-    # counting builds the offsets, so counts from cold, asked out of order,
-    # must come out of the same tables that unranking bisects
+def _clear_counts():
     enumeration._alt_offsets.cache_clear()
     enumeration._split_offsets.cache_clear()
+    enumeration._ways.cache_clear()
+
+
+def test_counts_are_the_last_offset(monkeypatch):
+    # a cold count fills the shorter blocks in increasing length, so it
+    # recurses a bounded depth, not a few frames per length
+    _clear_counts()
+    count_programs(400)
+    # counts from cold, asked out of order, must come out of the same
+    # alternative offsets that unranking bisects; counting builds no split
+    # offsets, so counting through length 200 stays within a few MiB
+    _clear_counts()
     monkeypatch.setattr(enumeration, "_cumulative", [0])
-    count_programs(14)
+    tracemalloc.start()
+    try:
+        count_programs(14)
+        for length in range(201):
+            count_programs(length)
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert enumeration._split_offsets.cache_info().currsize == 0
+    assert peak < 4 * 2**20, peak
     assert count_programs(9) == 114_513_832
     assert cumulative_count(12) == 360_770_731_825
     assert cumulative_count(14) == 76_982_973_196_649
     for length in range(15):
-        assert enumeration._alt_offsets("P", length)[0][-1] == \
+        assert enumeration._alt_offsets("P", length)[-1] == \
             count_programs(length), length
 
 
