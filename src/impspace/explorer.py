@@ -211,7 +211,7 @@ class SweepSummary:
 # the throughput is flat within noise from 1,024 to 16,384.  Smaller
 # chunks send more folds through the pool (2.9 MB pickled at 4,096, 4.5 MB
 # at 1,024); larger ones raise the peak RSS of ``sweep --records`` at 2
-# workers (parent/largest worker 27/18 MB at 4,096, 33/22 MB at 16,384).
+# workers (parent/largest worker 26/18 MB at 4,096, 30/23 MB at 16,384).
 _CHUNK = 4096
 
 

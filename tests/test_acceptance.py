@@ -9,7 +9,6 @@ import hashlib
 import os
 from collections import Counter
 from fractions import Fraction
-from multiprocessing import get_context
 
 import pytest
 
@@ -23,6 +22,7 @@ from impspace.halting import draw_halting_sample, ecdf, sample_size
 from impspace.lang import (
     nat_to_string, parse, program_length, render, string_to_nat,
 )
+from impspace.parallel import ordered_map
 from impspace.vm import run
 
 import bruteforce
@@ -225,11 +225,7 @@ def test_criterion_8a_canonical_bijectivity_1e6():
     step = total // WORKERS
     bounds = [(i * step, (i + 1) * step) for i in range(WORKERS)]
     bounds[-1] = (bounds[-1][0], total)
-    if WORKERS == 1:
-        checked = sum(map(_rank_range, bounds))
-    else:
-        with get_context("fork").Pool(WORKERS) as pool:
-            checked = sum(pool.map(_rank_range, bounds))
+    checked = sum(ordered_map(_rank_range, bounds, WORKERS))
     assert checked == total
 
 
