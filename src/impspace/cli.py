@@ -411,10 +411,11 @@ def _cmd_audit(args) -> int:
         if type(max_length) is not int or max_length < 1:
             raise IntegrityError(
                 "manifest has no config.max_length (a positive integer)")
-        # the fields are unquoted digits, true/false and bits, so a plain
-        # split parses a row of any length.  The file streams twice, line
-        # by line as readlines() would split it: once to count the rows
-        # after the header, once to fetch the drawn ones
+        # the fields are unquoted digits, true/false and bits, so a row's
+        # position is the text before its first comma, whatever its
+        # length.  The file streams twice, line by line as readlines()
+        # would split it: once to count the rows after the header, once
+        # to fetch the drawn ones
         path = base / "records.csv"
         with open(path, errors="replace") as fh:
             count = max(sum(1 for _ in fh) - 1, 0)
@@ -441,24 +442,22 @@ def _cmd_audit(args) -> int:
                     rows[index] = line
         for index in draws:
             # a row gone since the count cannot match any run
-            row = rows.get(index, "").rstrip("\n").split(",")
+            row = rows.get(index, "").rstrip("\n")
+            digits = row.partition(",")[0]
             rechecked += 1
-            try:
-                position, length, halted, steps, output = row
-                position = int(position)
-                expect = (int(length), halted == "true", int(steps), output)
-            except ValueError:
-                # a malformed row (wrong field count, bad number) cannot
-                # match any run
+            if not (digits.isascii() and digits.isdigit()) \
+                    or len(digits) > len(str(space)) or int(digits) >= space:
                 failures += 1
                 continue
-            if not 0 <= position < space:
-                failures += 1
-                continue
+            # a row passes only as the sweep writes it: rendered anew from
+            # its rerun, so no sign, space, underscore, leading zero, other
+            # digits or other spelling of a flag gets through
+            position = int(digits)
             program = unrank_canonical(position)
             result = classify(program, budget)
-            if (program_length(program), result.halted, result.steps,
-                    result.output) != expect:
+            if row != (f"{position},{program_length(program)},"
+                       f"{'true' if result.halted else 'false'},"
+                       f"{result.steps},{result.output}"):
                 failures += 1
         report["rechecked"] = rechecked
         report["recheck_failures"] = failures

@@ -8,12 +8,12 @@ and output bitstring.  Its one unit of work is a task of at most
 once; parts merge in any order.  A sweep that needs both the rows and the
 statistics (``sweep_summary`` with a ``records`` sink) gets them from one
 pass: each task renders its rows as ``records.csv`` lines in the worker
-and hands that text back with its fold, which crosses the process
-boundary as flat columns.  There each split of the ``x[i] := A`` block
-repeats the run of its lowest register (``_assign_columns``), as such a
-program does the same whatever ``i``.  A sweep without a sink runs every
-program, since the benchmark and the tests count one VM call per program
-(ROADMAP items 1 and 4).  The statistics are:
+and hands that text back with its fold.  There each split of the
+``x[i] := A`` block repeats the run of its lowest register
+(``_assign_columns``), as such a program does the same whatever ``i``.
+A sweep without a sink runs every program, since the benchmark and the
+tests count one VM call per program (ROADMAP items 1 and 4).  The
+statistics are:
 
 * the halting census per length;
 * the shortest-producer table: for each output string, the minimal
@@ -39,7 +39,7 @@ from math import log2
 from typing import Callable, Iterable, Iterator, Sequence
 
 from .enumeration import (
-    _split_offsets, count_programs, cumulative_count,
+    _length_at, _split_offsets, count_programs, cumulative_count,
     iter_fixed_length,
 )
 from .lang import (
@@ -98,18 +98,19 @@ class SummaryFold:
     """Mergeable fold of sweep rows: ``of_slice`` folds the rows of one
     length, ``merge`` adds another fold.
 
-    Parts may be merged in any order; every projection is the same.
+    It stores each fact once: halted counts, best lengths (positions run
+    length-major) and the output-length histogram are projected from the
+    steps histogram, the witnesses and the producer counts.  Parts may be
+    merged in any order; every projection is the same.
     """
 
-    __slots__ = ("halted", "not_halted", "producers", "steps_hist",
-                 "output_hist")
+    __slots__ = ("not_halted", "steps_hist", "producers", "witness")
 
     def __init__(self):
-        self.halted: Counter[int] = Counter()  # length: halting programs
-        self.not_halted: Counter[int] = Counter()  # length: the others
-        self.producers: dict[str, list] = {}  # output: [length, witness, n]
-        self.steps_hist: dict[int, Counter[int]] = {}
-        self.output_hist: Counter[int] = Counter()
+        self.not_halted: Counter[int] = Counter()  # length: count
+        self.steps_hist: dict[int, Counter[int]] = {}  # length: steps: count
+        self.producers: Counter[str] = Counter()  # output: halting programs
+        self.witness: dict[str, int] = {}  # output: least position
 
     @classmethod
     def of_slice(cls, length: int, positions: Iterable[int],
@@ -122,61 +123,54 @@ class SummaryFold:
         outputs = list(compress(outputs, halted))
         if len(positions) < len(halted):
             fold.not_halted[length] = len(halted) - len(positions)
-        if not positions:
-            return fold
-        fold.halted[length] = len(positions)
-        fold.steps_hist[length] = Counter(compress(steps, halted))
-        fold.output_hist = Counter(map(len, outputs))
-        # walked backwards, each output's last write is its first producer
-        first = dict(zip(reversed(outputs), reversed(positions)))
-        fold.producers = {out: [length, first[out], n]
-                          for out, n in Counter(outputs).items()}
+        if positions:
+            fold.steps_hist[length] = Counter(compress(steps, halted))
+        # walked backwards, each output's last write is its first producer;
+        # both then key an output by the same string, which pickles once
+        fold.producers = Counter(reversed(outputs))
+        fold.witness = dict(zip(reversed(outputs), reversed(positions)))
         return fold
 
+    # a slotted class needs both to pickle at protocols 0 and 1
     def __getstate__(self):
-        # the producers as flat columns pickle smaller and load faster
-        entries = self.producers.values()
-        return (self.halted, self.not_halted, self.steps_hist,
-                self.output_hist, list(self.producers),
-                *([entry[i] for entry in entries] for i in range(3)))
+        return tuple(getattr(self, name) for name in self.__slots__)
 
     def __setstate__(self, state):
-        (self.halted, self.not_halted, self.steps_hist, self.output_hist,
-         outputs, *columns) = state
-        self.producers = dict(zip(outputs, map(list, zip(*columns))))
+        for name, value in zip(self.__slots__, state):
+            setattr(self, name, value)
 
     def merge(self, other: SummaryFold) -> SummaryFold:
-        self.halted.update(other.halted)
         self.not_halted.update(other.not_halted)
-        self.output_hist.update(other.output_hist)
         for length, row in other.steps_hist.items():
             self.steps_hist.setdefault(length, Counter()).update(row)
-        producers = self.producers
-        for out, (best, witness, n) in other.producers.items():
-            entry = producers.get(out)
-            if entry is None:
-                producers[out] = [best, witness, n]
-                continue
-            entry[2] += n
-            if best < entry[0] or best == entry[0] and witness < entry[1]:
-                entry[0], entry[1] = best, witness
+        self.producers.update(other.producers)
+        witness = self.witness
+        for out, position in other.witness.items():
+            if witness.setdefault(out, position) > position:
+                witness[out] = position
         return self
 
     def census(self) -> dict[int, CensusRow]:
-        return {length: CensusRow(self.halted.get(length, 0),
+        halted = {length: row.total()
+                  for length, row in self.steps_hist.items()}
+        return {length: CensusRow(halted.get(length, 0),
                                   self.not_halted.get(length, 0))
-                for length in sorted({*self.halted, *self.not_halted})}
+                for length in sorted({*halted, *self.not_halted})}
 
     def complexity(self) -> dict[str, ComplexityEntry]:
-        return {out: ComplexityEntry(out, best, witness, n)
-                for out, (best, witness, n)
-                in sorted(self.producers.items(),
-                          key=lambda kv: (len(kv[0]), kv[0]))}
+        producers = self.producers
+        return {out: ComplexityEntry(out, _length_at(witness), witness,
+                                     producers[out])
+                for out, witness in sorted(self.witness.items(),
+                                           key=lambda kv: (len(kv[0]), kv[0]))}
 
     def histograms(self) -> tuple[dict[int, dict[int, int]], dict[int, int]]:
+        output_hist = Counter()
+        for out, n in self.producers.items():
+            output_hist[len(out)] += n
         return ({l: dict(sorted(r.items()))
                  for l, r in sorted(self.steps_hist.items())},
-                dict(sorted(self.output_hist.items())))
+                dict(sorted(output_hist.items())))
 
     def summary(self, max_length: int, budget: int) -> SweepSummary:
         return SweepSummary(max_length, budget, self.census(),
@@ -209,7 +203,7 @@ class SweepSummary:
 
 # Programs per sweep task, the one unit of work.  At length 7 on 2 vCPUs
 # the throughput is flat within noise from 1,024 to 16,384.  Smaller
-# chunks send more folds through the pool (2.9 MB pickled at 4,096, 4.5 MB
+# chunks send more folds through the pool (3.2 MB pickled at 4,096, 4.9 MB
 # at 1,024); larger ones raise the peak RSS of ``sweep --records`` at 2
 # workers (parent/largest worker 26/18 MB at 4,096, 30/23 MB at 16,384).
 _CHUNK = 4096

@@ -247,6 +247,11 @@ def test_sample_requires_n_or_params(capsys):
     code, _, err = run_cli(capsys, "sample", "--max-length", "4")
     assert code == EXIT_CONFIG
     assert "error[config]" in err
+    # some of the three estimation parameters, but not all
+    for given in (("--epsilon", "0.4"), ("--lambda", "0.3", "--delta", "0.5")):
+        code, _, err = run_cli(capsys, "sample", "--max-length", "4", *given)
+        assert code == EXIT_CONFIG, given
+        assert "go together" in err, given
 
 
 def test_ctm_output(capsys):
@@ -533,6 +538,31 @@ def test_audit_recheck_draws_are_pinned(tmp_path, capsys):
         assert report["mismatched"] == [] and report["missing"] == []
         assert report["rechecked"] == 40
         assert report["recheck_failures"] == 17, repr(text[-2:])
+
+
+def test_audit_recheck_passes_only_rows_as_the_sweep_writes_them(
+        tmp_path, capsys):
+    # each row names a program by its position and says what it does, but
+    # spelt as the sweep never writes it: a leading zero, a sign, a space,
+    # a capitalised flag, a non-ASCII digit, an underscore.  Four copies
+    # of one row make every draw fetch it; the row as written passes
+    out_dir = tmp_path / "sweep3"
+    run_cli(capsys, "sweep", "--max-length", "3", "--records",
+            "--out", str(out_dir))
+    header = (out_dir / "records.csv").read_text().splitlines()[0]
+    for row, failures in (("00,+1,true,0,", 4), ("01,+3,true, 1,", 4),
+                          ("02,+3,FALSE,10000,", 4), ("1,3,true,١,", 4),
+                          ("2,3,false,1_0000,", 4), ("1,3,true,1,", 0)):
+        (out_dir / "records.csv").write_text(
+            "".join(f"{line}\n" for line in [header] + [row] * 4))
+        _sign(out_dir, "records.csv")
+        code, out, err = run_cli(capsys, "audit", str(out_dir),
+                                 "--recheck", "4")
+        assert code == (EXIT_INTEGRITY if failures else EXIT_OK), row
+        report = json.loads(out)
+        assert report["mismatched"] == [] and report["missing"] == []
+        assert report["rechecked"] == 4, row
+        assert report["recheck_failures"] == failures, row
 
 
 def _csv(rows):

@@ -90,6 +90,8 @@ def test_fixed_length_out_of_range():
         unrank_fixed_length(2, 0)
     with pytest.raises(PositionRangeError):
         unrank_fixed_length(5, -1)
+    with pytest.raises(PositionRangeError):
+        iter_fixed_length(5, -1)
 
 
 # Member-table caps covering both sides of the shared-subtree cutoff: 0
@@ -285,6 +287,8 @@ def test_canonical_pinned_long_unranks():
 def test_canonical_rejects_negative():
     with pytest.raises(PositionRangeError):
         unrank_canonical(-1)
+    with pytest.raises(PositionRangeError):
+        list(iter_canonical(-1, 3))
 
 
 def test_iter_canonical_ranges():

@@ -2,9 +2,11 @@
 
 import decimal
 from fractions import Fraction
+from math import ceil
 
 import pytest
 
+from impspace import halting
 from impspace.halting import (
     EstimationParams, HaltingSample, SplitMix64, confidence_from_sample,
     draw_halting_sample, ecdf, quantile, sample_metadata, sample_size,
@@ -41,6 +43,34 @@ def test_sample_size_hand_computable():
     # ln(2)/(2 * 1/4) = 1.386...; ln(4)/(2 * 1/4) = 2.772...
     assert sample_size(Fraction(1, 2), Fraction(1, 2)) == 2
     assert sample_size(Fraction(1, 2), Fraction(1, 4)) == 3
+
+
+def test_sample_size_doubles_its_precision_near_an_integer(monkeypatch):
+    # convergents of 1/e bring ln(1/delta)/(2 * 1/4) within 2e-28 of 2,
+    # closer than the interval of 30 digits can certify, and then within
+    # 4e-59, closer than that of 60 digits
+    precisions = []
+    context = halting.Context
+
+    def recorded(**kwargs):
+        precisions.append(kwargs["prec"])
+        return context(**kwargs)
+
+    monkeypatch.setattr(halting, "Context", recorded)
+    reference = decimal.Context(prec=400)
+    for delta, n, seen, gap in (
+            (Fraction(16977719590391, 46150226651233), 3, [30, 60],
+             Fraction(2, 10**28)),
+            (Fraction(100080269231345899070830291281,
+                      272046377238856456170784180400), 2, [30, 60, 120],
+             Fraction(4, 10**59))):
+        precisions.clear()
+        assert sample_size(Fraction(1, 2), delta) == n
+        assert precisions == seen
+        quotient = 2 * Fraction(reference.subtract(
+            reference.ln(delta.denominator), reference.ln(delta.numerator)))
+        assert 0 < abs(quotient - 2) < gap
+        assert ceil(quotient) == n
 
 
 def test_sample_size_antitone():
