@@ -33,8 +33,8 @@ from .enumeration import (
     rank_canonical, unrank_base, unrank_canonical,
 )
 from .explorer import (
-    FAMILIES, SweepSummary, algorithmic_probability, family_program,
-    sweep_summary,
+    FAMILIES, SweepSummary, algorithmic_probability, check_sweep,
+    family_program, sweep_summary,
 )
 # unused here, but perfbench/tracer.py wraps ``impspace.cli.sweep``
 from .explorer import sweep  # noqa: F401
@@ -285,6 +285,7 @@ def _cmd_sweep(args) -> int:
     }
     if args.records and args.out is None:
         raise ValueError("--records needs --out")
+    check_sweep(args.max_length, args.budget, args.workers)
     started = perf_counter()
     _progress(f"sweeping {cumulative_count(args.max_length)} programs "
               f"(length <= {args.max_length}, budget {args.budget})")

@@ -3,17 +3,18 @@
 A *sweep* runs every program up to a length bound under one step budget
 and records, per canonical position: length, halted flag, step count,
 and output bitstring.  Its one unit of work is a task of at most
-``_CHUNK`` programs of one length; every row comes from
-``_run_programs``, and ``SummaryFold.of_slice`` folds a task's rows at
-once; parts merge in any order.  A sweep that needs both the rows and the
-statistics (``sweep_summary`` with a ``records`` sink) gets them from one
-pass: each task renders its rows as ``records.csv`` lines in the worker
-and hands that text back with its fold.  There each split of the
-``x[i] := A`` block repeats the run of its lowest register
-(``_assign_columns``), as such a program does the same whatever ``i``.
-A sweep without a sink runs every program, since the benchmark and the
-tests count one VM call per program (ROADMAP items 1 and 4).  The
-statistics are:
+``_CHUNK`` programs of one length; ``SummaryFold.of_slice`` folds a
+task's rows at once, and parts merge in any order.  A sweep that needs
+both the rows and the statistics (``sweep_summary`` with a ``records``
+sink) gets them from one pass: each task renders its rows as
+``records.csv`` lines in the worker and hands that text back with its
+fold.  There each split of the ``x[i] := A`` block repeats the run of its
+lowest register (``_assign_columns``), as such a program does the same
+whatever ``i``, and a ``while B do P`` whose guard decides it from the
+empty store does not run at all (``_loop_rows``); ``_run_programs`` runs
+the rest.  A sweep without a sink runs every program, since the
+benchmark and the tests count one VM call per program (ROADMAP items 1
+and 4).  The statistics are:
 
 * the halting census per length;
 * the shortest-producer table: for each output string, the minimal
@@ -33,22 +34,23 @@ from __future__ import annotations
 from collections import Counter
 from dataclasses import dataclass
 from fractions import Fraction
-from functools import lru_cache
-from itertools import compress, cycle, islice
+from functools import lru_cache, partial
+from itertools import compress, cycle, islice, repeat
 from math import log2
+from operator import add
 from typing import Callable, Iterable, Iterator, Sequence
 
 from .enumeration import (
-    _length_at, _split_offsets, count_programs, cumulative_count,
-    iter_fixed_length,
+    _alt_offsets, _iter_in_length, _length_at, _split_offsets, count_programs,
+    cumulative_count, iter_fixed_length,
 )
 from .lang import (
-    Add, Assign, Lt, Mul, Num, Program, Reg, Seq, While, SKIP,
-    program_length, string_to_nat,
+    Add, Assign, FalseLit, Lt, Mul, Not, Num, Program, Reg, Seq, TrueLit,
+    While, SKIP, program_length, string_to_nat,
 )
 from . import vm
 from .parallel import ordered_map
-from .vm import classify, run
+from .vm import classify, eval_bool, expression_cost, run
 
 
 @dataclass(frozen=True, slots=True)
@@ -209,16 +211,21 @@ class SweepSummary:
 _CHUNK = 4096
 
 
-def _plan(max_length: int, budget: int, workers: int,
-          exact_budget: bool) -> list[tuple]:
-    """Cut every length block into self-contained sweep tasks of at most
-    ``_CHUNK`` programs each."""
+def check_sweep(max_length: int, budget: int, workers: int) -> None:
+    """Raise ``ValueError`` unless a sweep can take these arguments."""
     if max_length < 1:
         raise ValueError("max_length must be at least 1")
     if budget < 1:
         raise ValueError("budget must be at least 1")
     if workers < 1:
         raise ValueError("need at least one worker")
+
+
+def _plan(max_length: int, budget: int, workers: int,
+          exact_budget: bool) -> list[tuple]:
+    """Cut every length block into self-contained sweep tasks of at most
+    ``_CHUNK`` programs each."""
+    check_sweep(max_length, budget, workers)
     tasks = []
     for length in range(1, max_length + 1):
         block = count_programs(length)
@@ -256,6 +263,21 @@ def _summary_task(task) -> SummaryFold:
     return SummaryFold.of_slice(length, range(base, base + count), *columns)
 
 
+def _run_rows(execute: Callable, length: int, start: int, count: int,
+              budget: int, rows: tuple[list, ...]) -> None:
+    """Append to ``rows`` (halted flags, steps, outputs and row tails) the
+    rows of ``count`` programs run from rank ``start`` by ``_run_programs``.
+    A row tail is a ``records.csv`` line without its position:
+    ``,length,halted,steps,output`` and a newline."""
+    halted, steps, outputs, tails = rows
+    done = len(tails)
+    _run_programs(length, start, count, budget, execute,
+                  halted, steps, outputs)
+    tags = (f",{length},false,", f",{length},true,")
+    tails += [f"{tags[h]}{s},{out}\n" for h, s, out
+              in zip(halted[done:], steps[done:], outputs[done:])]
+
+
 # One entry: a pool worker builds each length's columns once.  Both VM
 # functions are in the key, so a wrapper on either builds its own columns;
 # ``output_string`` is only there, as ``_run_programs`` looks it up itself
@@ -263,22 +285,110 @@ def _summary_task(task) -> SummaryFold:
 def _assign_columns(length: int, budget: int, execute: Callable,
                     output_string: Callable) -> list[tuple]:
     """The splits of one length's ``x[i] := A`` block, each as
-    ``(first rank, end rank, A trees, (halted, steps, outputs))``.
+    ``(first rank, end rank, A trees, (halted, steps, outputs, tails))``.
 
     From the empty store ``x[i] := A`` costs ``1 + expression_cost(A)``
     and stores the value of ``A``, or is cut off over the budget, whatever
     ``i`` is.  A split's ranks run register first, so its first programs
     pair its lowest register with each ``A`` in rank order; their rows,
-    from ``_run_programs``, are the column of every register.  The block
+    from ``_run_rows``, are the column of every register.  The block
     starts at rank 0, since ``skip``, the one alternative before it, has
     length 1; below length 4, that of ``x[0] := 0``, it has no splits."""
     splits = []
     starts, tails = _split_offsets(("X", "A"), length - 1)
     for first, end, trees in zip(starts, starts[1:], tails):
-        columns = [], [], []
-        _run_programs(length, first, trees, budget, execute, *columns)
-        splits.append((first, end, trees, columns))
+        rows = [], [], [], []
+        _run_rows(execute, length, first, trees, budget, rows)
+        splits.append((first, end, trees, rows))
     return splits
+
+
+def _assign_rows(length: int, start: int, count: int, budget: int,
+                 rows: tuple[list, ...]) -> None:
+    """Append the rows of ``count`` ``x[i] := A`` programs from rank
+    ``start``, each taken from its split's column."""
+    stop = start + count
+    for first, end, trees, split in _assign_columns(length, budget, classify,
+                                                    vm.output_string):
+        n = min(stop, end) - start
+        if n > 0:
+            offset = (start - first) % trees
+            for column, part in zip(rows, split):
+                column.extend(islice(cycle(part), offset, offset + n))
+            start += n
+
+
+def _reads_register(expr) -> bool:
+    """Whether an expression reads any register."""
+    t = type(expr)
+    if t is Reg:
+        return True
+    if t is Not:
+        return _reads_register(expr.operand)
+    if t is Num or t is TrueLit or t is FalseLit:
+        return False
+    return _reads_register(expr.left) or _reads_register(expr.right)
+
+
+def _decided_rows(length: int, budget: int, ends: list[int],
+                  rows: tuple[list, ...]) -> None:
+    """Append the rows of loops decided by their guard, given per program
+    the step its run ends at: ``1 + expression_cost(B)`` for a false
+    guard ``B``, ``budget + 1`` for a loop that never halts.  A run that
+    ends within the budget halts there with output ``""``; any other is
+    cut off at the budget."""
+    halted, steps, outputs, tails = rows
+    halted.extend(map(budget.__ge__, ends))
+    steps.extend(map(min, ends, repeat(budget)))
+    outputs.extend(repeat("", len(ends)))
+    tail = {end: f",{length},true,{end},\n" if end <= budget
+            else f",{length},false,{budget},\n" for end in set(ends)}
+    tails.extend(map(tail.__getitem__, ends))
+
+
+def _loop_rows(length: int, start: int, count: int, budget: int,
+               rows: tuple[list, ...]) -> None:
+    """Append the rows of ``count`` ``while B do P`` programs from rank
+    ``start``, deciding each from its guard ``B`` where it can.
+
+    From the empty store a false guard halts after
+    ``1 + expression_cost(B)`` steps with output ``""``; a true guard
+    that reads no register stays true whatever ``P`` does, and a true
+    guard over ``P = skip`` sees the store never change, so both never
+    halt.  Only the other true guards' programs run, through
+    ``_run_rows``.  A split's ranks run guard-major, so each guard owns a
+    run of as many ranks as the split has bodies; the last split's one
+    body is ``skip``, and there every guard is decided at once."""
+    stop, over, empty = start + count, budget + 1, {}
+    loops = _alt_offsets("P", length)[-2]
+    starts, tails = _split_offsets(("B", "P"), length - 1)
+    for i, tail in enumerate(tails):
+        first = loops + starts[i]
+        lo, hi = max(start, first), min(stop, loops + starts[i + 1])
+        if lo >= hi:
+            continue
+        head, heads_end = (lo - first) // tail, (hi - 1 - first) // tail + 1
+        guards = islice(_iter_in_length("B", 1 + i, head), heads_end - head)
+        if i == length - 3:  # B of length L - 2, so P = skip
+            _decided_rows(length, budget,
+                          [over if eval_bool(guard, empty)
+                           else 1 + expression_cost(guard)
+                           for guard in guards], rows)
+            continue
+        ends = []
+        rank, edge = lo, first + (head + 1) * tail
+        for guard in guards:
+            n = min(hi, edge) - rank
+            if not eval_bool(guard, empty):
+                ends += repeat(1 + expression_cost(guard), n)
+            elif not _reads_register(guard):
+                ends += repeat(over, n)
+            else:
+                _decided_rows(length, budget, ends, rows)
+                ends = []
+                _run_rows(classify, length, rank, n, budget, rows)
+            rank, edge = rank + n, edge + tail
+        _decided_rows(length, budget, ends, rows)
 
 
 def _record_task(task) -> tuple[SummaryFold, str]:
@@ -286,30 +396,31 @@ def _record_task(task) -> tuple[SummaryFold, str]:
     the ``records.csv`` lines ``position,length,halted,steps,output``:
     ``(fold, text)``.
 
-    Every row comes from ``_run_programs``: unless ``exact_budget`` is
-    set, the ``x[i] := A`` rows through the columns of ``_assign_columns``,
-    the rest from one call here.  ``_summary_task`` takes no columns: it
+    Unless ``exact_budget`` is set, the ``x[i] := A`` rows come from the
+    columns of ``_assign_columns``, the ``while`` rows from their guards
+    where ``_loop_rows`` decides them, and the rest from ``_run_rows``;
+    with it, every row runs through ``run``.  Each line is its position
+    joined to its row tail.  ``_summary_task`` takes no shortcut: it
     still makes one VM call per program (ROADMAP items 1 and 4)."""
     length, start, count, base, budget, exact_budget = task
-    columns = halted, steps, outputs = [], [], []
+    rows = halted, steps, outputs, tails = [], [], [], []
     rank, stop = start, start + count
-    splits = () if exact_budget else _assign_columns(length, budget, classify,
-                                                     vm.output_string)
-    for first, end, trees, split in splits:
+    if exact_budget:
+        blocks = ((stop, partial(_run_rows, run)),)
+    else:
+        # the rank offsets of skip, Assign, Seq, If and While, then the end
+        offsets = _alt_offsets("P", length)
+        execute = partial(_run_rows, classify)
+        blocks = ((offsets[1], execute), (offsets[2], _assign_rows),
+                  (offsets[4], execute), (offsets[5], _loop_rows))
+    for end, fill in blocks:
         n = min(stop, end) - rank
         if n > 0:
-            offset = (rank - first) % trees
-            for column, part in zip(columns, split):
-                column.extend(islice(cycle(part), offset, offset + n))
+            fill(length, rank, n, budget, rows)
             rank += n
-    _run_programs(length, rank, stop - rank, budget,
-                  run if exact_budget else classify, *columns)
-    fold = SummaryFold.of_slice(length, range(base, base + count), *columns)
-    tags = (f",{length},false,", f",{length},true,")
-    return fold, "".join([f"{position}{tags[h]}{s},{output}\n"
-                          for position, h, s, output
-                          in zip(range(base, base + count), halted, steps,
-                                 outputs)])
+    positions = range(base, base + count)
+    fold = SummaryFold.of_slice(length, positions, halted, steps, outputs)
+    return fold, "".join(map(add, map(str, positions), tails))
 
 
 def sweep(max_length: int, budget: int, workers: int = 1,
@@ -341,10 +452,11 @@ def sweep_summary(max_length: int, budget: int, workers: int = 1,
     called once per task, in position order, with the text of that task's
     ``records.csv`` lines (``position,length,halted,steps,output``, each
     ending in a newline), rendered in the worker that ran the task, so
-    that no program runs twice to give both.  The rows of ``x[i] := A``
-    programs then come from one run per ``A`` tree (see
-    ``_assign_columns``), unless ``exact_budget`` is set; the statistics
-    are the same either way.
+    that no program runs twice to give both.  Unless ``exact_budget`` is
+    set, the rows of ``x[i] := A`` programs then come from one run per
+    ``A`` tree (see ``_assign_columns``), and those of most ``while``
+    loops from their guard alone (see ``_loop_rows``); the rows and the
+    statistics are the same either way.
     """
     tasks = _plan(max_length, budget, workers, exact_budget)
     fold = SummaryFold()

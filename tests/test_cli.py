@@ -613,6 +613,7 @@ def test_failed_sweep_leaves_nothing_behind(tmp_path, capsys, monkeypatch):
                                "0", "--records", "--out", str(out_dir))
         assert code == EXIT_CONFIG, flag
         assert "error[config]" in err
+        assert "sweeping" not in err, flag
         assert not out_dir.exists()
     code, _, err = run_cli(capsys, "ctm", "--max-length", "0")
     assert code == EXIT_CONFIG
@@ -689,10 +690,12 @@ def _count_calls(monkeypatch, name):
 
 
 def test_sweep_records_runs_each_program_once(tmp_path, capsys, monkeypatch):
-    # 224 + 4 + 4 programs outside the x[i] := A blocks run one at a time;
-    # the blocks' 1,900 + 100 programs take their rows from the 110 + 10
-    # A trees they pair with a register, each run once.  A second pass
-    # over the space would make at least 2,232 calls
+    # the 6 + 2 Seq and If programs of length 5 and the 1 + 1 + 2 of
+    # lengths 1-4 run one at a time; the x[i] := A blocks' 1,900 + 100
+    # programs take their rows from the 110 + 10 A trees they pair with a
+    # register, each run once, and the 216 + 4 while loops of lengths 3-5
+    # are decided by their guards.  A second pass over the space would
+    # make at least 2,232 calls
     def sweep(out, *extra):
         return run_cli(capsys, "sweep", "--max-length", "5", "--records",
                        *extra, "--workers", "1", "--out", str(tmp_path / out))
@@ -704,12 +707,12 @@ def test_sweep_records_runs_each_program_once(tmp_path, capsys, monkeypatch):
     assert code == EXIT_OK
     calls = _count_calls(monkeypatch, "classify")
     explorer._record_task(explorer._plan(5, 10_000, 1, False)[-1])
-    assert len(calls) == 224 + 110
+    assert len(calls) == 6 + 2 + 110
 
     calls.clear()
     code, _, _ = sweep("a")
     assert code == EXIT_OK
-    assert len(calls) == 352 < 2_232
+    assert len(calls) == 132 < 2_232
 
     calls.clear()
     exact_calls = _count_calls(monkeypatch, "run")

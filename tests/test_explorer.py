@@ -7,7 +7,7 @@ from itertools import permutations
 
 import pytest
 
-from impspace import explorer, vm
+from impspace import enumeration, explorer, vm
 from impspace.enumeration import (
     cumulative_count, rank_canonical, unrank_canonical,
 )
@@ -16,7 +16,9 @@ from impspace.explorer import (
     algorithmic_probability, family_program, sweep, sweep_summary,
     trivial_bound,
 )
-from impspace.lang import parse, program_length, render, string_to_nat
+from impspace.lang import (
+    parse, parse_bool, program_length, render, string_to_nat,
+)
 from impspace.parallel import ordered_map
 from impspace.vm import classify, output_string, run
 
@@ -84,9 +86,15 @@ def test_sweep_parallel_determinism():
 
 
 def test_sweep_exact_budget_mode_agrees():
-    fast = collect(4, budget=300)
-    slow = collect(4, budget=300, exact_budget=True)
-    assert fast == slow
+    # the fast mode takes x[i] := A rows from columns and decides most
+    # while loops by their guard; the exact mode runs every program.  At
+    # budgets 1-20 false guards and assignments fall on both sides of the
+    # cut-off at their cost
+    for max_length, budget in [(4, 300), (5, 10_000),
+                               *((6, budget) for budget in range(1, 21))]:
+        fast = collect(max_length, budget=budget)
+        slow = collect(max_length, budget=budget, exact_budget=True)
+        assert fast == slow, (max_length, budget)
 
 
 def test_sweep_validation():
@@ -275,17 +283,28 @@ def test_pickled_task_folds_merge_to_the_sweep():
 
 
 def test_record_task_folds_assign_blocks_exactly(monkeypatch):
-    # the records task takes the x[i] := A rows from one run per A tree;
-    # it has to give the text of running every program and the fold of
-    # the summary task, which does.  At the smallest budgets the Assign
-    # rows whose A costs more are cut off, a chunk size of 997 cuts tasks
-    # inside the splits of every block, and each task runs at every budget
-    # in turn, so that columns kept from another budget would show
-    for chunk, budgets in ((4_096, (*range(1, 21), 10_000)),
-                           (997, (3, 10_000))):
+    # the records task takes the x[i] := A rows from one run per A tree
+    # and most while rows from their guard alone; it has to give the text
+    # of running every program and the fold of the summary task, which
+    # does.  At the smallest budgets the Assign rows whose A costs more
+    # are cut off, a chunk size of 997 cuts tasks inside the splits of
+    # every block, and each task runs at every budget in turn, so that
+    # columns kept from another budget would show.  Up to length 8 every
+    # loop whose guard leaves it undecided has a body that sets no
+    # register.  At length 9 the guards 0 = x[0] to 0 = x[9] pair with
+    # the 104 bodies of length 4, some of which set the register read,
+    # so two tasks from just before them cover decided and run loops
+    loops = enumeration._alt_offsets("P", 9)[4]
+    starts, tails = enumeration._split_offsets(("B", "P"), 8)
+    guard, _ = enumeration._rank_in_length("B", parse_bool("(0 = x[0])"))
+    first = loops + starts[3] + guard * tails[3] - 54
+    nine = [(9, start, 997, cumulative_count(8) + start, budget, False)
+            for budget in (3, 5, 10_000) for start in (first, first + 997)]
+    for chunk, budgets, extra in ((4_096, (*range(1, 21), 10_000), []),
+                                  (997, (3, 10_000), nine)):
         monkeypatch.setattr(explorer, "_CHUNK", chunk)
         tasks = [task for budget in budgets
-                 for task in explorer._plan(6, budget, 1, False)]
+                 for task in explorer._plan(6, budget, 1, False)] + extra
         for task in sorted(tasks, key=lambda task: task[:2]):
             length, start, count, base, budget, _ = task
             fold, text = explorer._record_task(task)
